@@ -5,8 +5,10 @@
 //    incremental, checkpointable ingestion;
 //  * chunk-size sweep: small chunks mean more ticks (more scheduler and
 //    directory-scan overhead) for identical results;
-//  * checkpoint serialize/parse and a full atomic store write, as the open
-//    coalescer state and emitted-error set grow.
+//  * checkpoint cost as the emitted state grows: each checkpoint appends a
+//    segment of the rows emitted since the previous one plus a manifest, so
+//    bytes per checkpoint should stay flat while the state grows; and
+//    restoring a store whose state is spread over many segments.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
@@ -148,23 +150,13 @@ void BM_BatchLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchLoad)->Arg(0)->Arg(4)->Unit(benchmark::kMillisecond);
 
-serve::CheckpointData synthetic_checkpoint(std::int64_t n_errors) {
-  serve::CheckpointData d;
-  d.config_hash = 0xfeedface;
-  d.seq = 3;
-  d.tick = 1000;
-  common::Rng rng(7);
-  for (int day = 0; day < kDays; ++day) {
-    serve::SourceSnapshot s;
-    s.name = "syslog-2023-06-0" + std::to_string(day + 1) + ".log";
-    s.date = kDay0 + day * common::kDay;
-    s.offset = 1 << 20;
-    s.lines_seen = kLinesPerDay;
-    s.existed = true;
-    s.sealed = day + 1 < kDays;
-    d.sources.push_back(std::move(s));
-  }
-  for (std::int64_t i = 0; i < n_errors; ++i) {
+/// `n` synthetic errors starting at `first`.
+std::vector<analysis::CoalescedError> synthetic_errors(std::int64_t first,
+                                                       std::int64_t n) {
+  common::Rng rng(static_cast<std::uint64_t>(first) + 7);
+  std::vector<analysis::CoalescedError> out;
+  out.reserve(static_cast<std::size_t>(n));
+  for (std::int64_t i = first; i < first + n; ++i) {
     analysis::CoalescedError e;
     e.time = kDay0 + i;
     e.last = e.time + 5;
@@ -173,49 +165,104 @@ serve::CheckpointData synthetic_checkpoint(std::int64_t n_errors) {
     e.code = xid::Code::kGspRpcTimeout;
     e.raw_xid = 119;
     e.raw_lines = 3;
-    d.errors.push_back(e);
-    if (i % 16 == 0) d.coalescer.open.push_back(e);
+    out.push_back(e);
   }
-  d.coalescer.records_in = static_cast<std::uint64_t>(n_errors) * 3;
-  d.coalescer.errors_out = static_cast<std::uint64_t>(n_errors);
-  return d;
+  return out;
 }
 
-void BM_CheckpointSerialize(benchmark::State& state) {
-  const auto d = synthetic_checkpoint(state.range(0));
-  std::size_t bytes = 0;
-  for (auto _ : state) {
-    const std::string s = serve::serialize_checkpoint(d);
-    bytes = s.size();
-    benchmark::DoNotOptimize(s.data());
+/// A manifest shaped like a daemon's mid-run one: kDays sources (all but the
+/// last sealed) and a few open coalescer groups.
+serve::CheckpointManifest synthetic_manifest() {
+  serve::CheckpointManifest m;
+  m.config_hash = 0xfeedface;
+  m.tick = 1000;
+  for (int day = 0; day < kDays; ++day) {
+    serve::SourceSnapshot s;
+    s.name = "syslog-2023-06-0" + std::to_string(day + 1) + ".log";
+    s.date = kDay0 + day * common::kDay;
+    s.offset = 1 << 20;
+    s.lines_seen = kLinesPerDay;
+    s.existed = true;
+    s.sealed = day + 1 < kDays;
+    m.sources.push_back(std::move(s));
   }
-  state.counters["bytes"] = static_cast<double>(bytes);
+  m.coalescer.open = synthetic_errors(0, 16);
+  return m;
 }
-BENCHMARK(BM_CheckpointSerialize)->Arg(1000)->Arg(10000)->Arg(100000);
 
-void BM_CheckpointParse(benchmark::State& state) {
-  const std::string bytes =
-      serve::serialize_checkpoint(synthetic_checkpoint(state.range(0)));
-  for (auto _ : state) {
-    auto parsed = serve::parse_checkpoint(bytes);
-    if (!parsed.ok()) std::abort();
-    benchmark::DoNotOptimize(parsed.value().errors.size());
+/// Appends checkpoints to a store the way ServeSession does.
+struct Appender {
+  serve::CheckpointStore store;
+  serve::CheckpointManifest manifest = synthetic_manifest();
+  serve::EmittedRows rows;
+  std::uint64_t state_bytes = 0;  ///< segment bytes written so far
+
+  explicit Appender(const fs::path& dir) : store(dir) {}
+
+  /// Emit `n` more errors and checkpoint; returns the bytes written.
+  std::uint64_t checkpoint(std::int64_t n) {
+    auto more =
+        synthetic_errors(static_cast<std::int64_t>(rows.errors.size()), n);
+    rows.errors.insert(rows.errors.end(), more.begin(), more.end());
+    const std::uint64_t seq = manifest.seq + 1;
+    auto ref = store.write_segment(
+        seq, serve::SegmentRows::since(rows, manifest.emitted));
+    if (!ref.ok()) std::abort();
+    manifest.seq = seq;
+    manifest.emitted = rows.counts();
+    manifest.segments.push_back(ref.value());
+    auto written = store.write_manifest(manifest);
+    if (!written.ok()) std::abort();
+    state_bytes += ref.value().bytes;
+    return ref.value().bytes + written.value();
   }
-}
-BENCHMARK(BM_CheckpointParse)->Arg(1000)->Arg(10000)->Arg(100000);
+};
 
-void BM_CheckpointStoreWrite(benchmark::State& state) {
+constexpr std::int64_t kErrorsPerCheckpoint = 500;
+
+/// A fixed run of 64 checkpoints, each emitting kErrorsPerCheckpoint errors,
+/// on top of range(0) errors already checkpointed: bytes per checkpoint
+/// must not grow with the state.
+void BM_CheckpointAppend(benchmark::State& state) {
   const auto dir = fs::temp_directory_path() / "gpures_bench_serve_ckpt";
   fs::remove_all(dir);
-  serve::CheckpointStore store(dir, 2);
-  auto d = synthetic_checkpoint(state.range(0));
+  fs::create_directories(dir);
+  Appender a(dir);
+  a.checkpoint(state.range(0));
+  std::uint64_t written = 0, checkpoints = 0;
   for (auto _ : state) {
-    ++d.seq;
-    if (!store.write(d).ok()) std::abort();
+    written += a.checkpoint(kErrorsPerCheckpoint);
+    ++checkpoints;
   }
+  state.counters["bytes_per_ckpt"] =
+      static_cast<double>(written) / static_cast<double>(checkpoints);
+  state.counters["state_bytes"] = static_cast<double>(a.state_bytes);
   fs::remove_all(dir);
 }
-BENCHMARK(BM_CheckpointStoreWrite)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_CheckpointAppend)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Iterations(64)
+    ->Unit(benchmark::kMicrosecond);
+
+/// Restore a store holding range(0) errors spread over 16 segments: every
+/// segment is read and hash-checked before any is parsed.
+void BM_CheckpointLoad(benchmark::State& state) {
+  const auto dir = fs::temp_directory_path() / "gpures_bench_serve_load";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  Appender a(dir);
+  for (int i = 0; i < 16; ++i) a.checkpoint(state.range(0) / 16);
+  for (auto _ : state) {
+    auto loaded = a.store.load_latest(nullptr);
+    if (!loaded.ok() || !loaded.value().has_value()) std::abort();
+    benchmark::DoNotOptimize(loaded.value()->rows.errors.size());
+  }
+  state.counters["state_bytes"] = static_cast<double>(a.state_bytes);
+  fs::remove_all(dir);
+}
+BENCHMARK(BM_CheckpointLoad)->Arg(10000)->Arg(100000);
 
 }  // namespace
 

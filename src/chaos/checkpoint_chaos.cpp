@@ -1,5 +1,8 @@
 #include "chaos/checkpoint_chaos.h"
 
+#include <algorithm>
+#include <vector>
+
 #include "common/hash.h"
 #include "common/io.h"
 #include "common/rng.h"
@@ -118,7 +121,42 @@ common::Result<CheckpointCorruption> corrupt_checkpoint_file(
   if (!c.ok()) return c;
   const auto st = common::write_text_file(dst.string(), bytes);
   if (!st.ok()) return st.error();
+  c.value().file = dst;
   return c;
+}
+
+std::string_view to_string(CheckpointTarget target) {
+  switch (target) {
+    case CheckpointTarget::kNewestManifest: return "newest-manifest";
+    case CheckpointTarget::kNewestSegment: return "newest-segment";
+    case CheckpointTarget::kOldestSegment: return "oldest-segment";
+  }
+  return "unknown";
+}
+
+common::Result<CheckpointCorruption> corrupt_checkpoint_store(
+    const std::filesystem::path& dir, CheckpointTarget target,
+    std::uint64_t seed, CheckpointFault fault) {
+  const std::string prefix =
+      target == CheckpointTarget::kNewestManifest ? "ckpt-" : "seg-";
+  // Sequence numbers are zero-padded, so name order is generation order.
+  std::vector<std::filesystem::path> files;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    const auto name = entry.path().filename().string();
+    if (name.rfind(prefix, 0) == 0 && name.ends_with(".bin")) {
+      files.push_back(entry.path());
+    }
+  }
+  if (files.empty()) {
+    return common::Error::make("corrupt_checkpoint_store: no " + prefix +
+                               "*.bin in " + dir.string());
+  }
+  std::sort(files.begin(), files.end());
+  const auto& victim = target == CheckpointTarget::kOldestSegment
+                           ? files.front()
+                           : files.back();
+  return corrupt_checkpoint_file(victim, victim, seed, fault);
 }
 
 }  // namespace gpures::chaos

@@ -1,14 +1,16 @@
-// Structure-aware corrupter for serve checkpoint files (ckpt-NNNNNNNN.bin).
+// Structure-aware corrupter for serve checkpoint files.
 //
 // Sibling of the index corrupter (index_chaos.h), specialized to the
-// checkpoint layout (see serve/checkpoint.h): a 40-byte header — magic,
-// version, endian tag, payload size, payload XXH64, header XXH64 — followed
-// by the serialized payload.  Faults target specific validation steps so
-// tests can assert parse_checkpoint fails on the *intended* check, and that
-// CheckpointStore::load_latest falls back past the damaged generation
-// instead of crashing.  kVersionBump recomputes the header hash so the
-// reader's rejection is provably version negotiation, not an incidental
-// checksum mismatch.
+// checkpoint layout (see serve/checkpoint.h).  A checkpoint generation is a
+// manifest (ckpt-NNNNNNNN.bin) plus the segments it lists (seg-NNNNNNNN.bin);
+// both share one frame — a 40-byte header (magic, version, endian tag,
+// payload size, payload XXH64, header XXH64) followed by the serialized
+// payload — so every fault applies to either kind.  Faults target specific
+// validation steps so tests can assert parse_manifest / parse_segment fail
+// on the *intended* check, and that CheckpointStore::load_latest falls back
+// past the damaged generation instead of crashing.  kVersionBump recomputes
+// the header hash so the reader's rejection is provably version
+// negotiation, not an incidental checksum mismatch.
 //
 // Deterministic: (seed, fault) over the same input bytes always produces
 // the same corrupted bytes.
@@ -40,6 +42,7 @@ struct CheckpointCorruption {
   std::uint64_t corrupted_size = 0;
   std::uint64_t byte_offset = 0;  ///< flipped byte / first truncated byte
   std::uint32_t bit = 0;          ///< flipped bit index for bit-flip faults
+  std::filesystem::path file;     ///< the damaged file, for file faults
   std::string detail;
 };
 
@@ -52,6 +55,21 @@ common::Result<CheckpointCorruption> corrupt_checkpoint_bytes(
 /// overwrites in place on disk).
 common::Result<CheckpointCorruption> corrupt_checkpoint_file(
     const std::filesystem::path& src, const std::filesystem::path& dst,
+    std::uint64_t seed, CheckpointFault fault);
+
+/// Which file of a checkpoint store to damage.
+enum class CheckpointTarget : std::uint8_t {
+  kNewestManifest,  ///< fallback to the previous generation
+  kNewestSegment,   ///< listed only by the newest manifest: fallback
+  kOldestSegment,   ///< shared by every generation: fresh start
+};
+
+std::string_view to_string(CheckpointTarget target);
+
+/// Corrupt the `target` file of the checkpoint store in `dir` in place.
+/// Fails when the store holds no such file.
+common::Result<CheckpointCorruption> corrupt_checkpoint_store(
+    const std::filesystem::path& dir, CheckpointTarget target,
     std::uint64_t seed, CheckpointFault fault);
 
 }  // namespace gpures::chaos

@@ -1,6 +1,7 @@
 #include "serve/checkpoint.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 
 #include "common/hash.h"
@@ -140,17 +141,109 @@ class Cursor {
   bool failed_ = false;
 };
 
+
+/// Wrap `payload` in the 40-byte header: magic, version, endian tag,
+/// payload size, payload XXH64, header XXH64.
+std::string frame(const char (&magic)[8], std::string_view payload) {
+  std::string out;
+  out.reserve(kCheckpointHeaderSize + payload.size());
+  out.append(magic, sizeof(magic));
+  append_le32(out, kCheckpointVersion);
+  append_le32(out, kCheckpointEndianTag);
+  append_le64(out, payload.size());
+  append_le64(out, common::xxhash64(payload));
+  append_le64(out, common::xxhash64(std::string_view(out)));
+  out += payload;
+  return out;
+}
+
+/// Verify the header and payload checksum of a framed file of kind `what`;
+/// returns the payload.
+common::Result<std::string_view> unframe(std::string_view bytes,
+                                         const char (&magic)[8],
+                                         const std::string& what) {
+  if (bytes.size() < kCheckpointHeaderSize) {
+    return common::Error::make(what + ": file shorter than header (" +
+                               std::to_string(bytes.size()) + " bytes)");
+  }
+  if (std::memcmp(bytes.data(), magic, sizeof(magic)) != 0) {
+    return common::Error::make(what + ": bad magic");
+  }
+  const auto* h = reinterpret_cast<const unsigned char*>(bytes.data());
+  const std::uint32_t version = load_le32(h + 8);
+  if (version != kCheckpointVersion) {
+    return common::Error::make(what + ": unsupported version " +
+                               std::to_string(version));
+  }
+  if (load_le32(h + 12) != kCheckpointEndianTag) {
+    return common::Error::make(what + ": endian tag mismatch");
+  }
+  const std::uint64_t payload_size = load_le64(h + 16);
+  const std::uint64_t payload_hash = load_le64(h + 24);
+  const std::uint64_t header_hash = load_le64(h + 32);
+  if (common::xxhash64(bytes.substr(0, 32)) != header_hash) {
+    return common::Error::make(what + ": header checksum mismatch");
+  }
+  if (bytes.size() - kCheckpointHeaderSize != payload_size) {
+    return common::Error::make(
+        what + ": payload size mismatch (header says " +
+        std::to_string(payload_size) + ", file carries " +
+        std::to_string(bytes.size() - kCheckpointHeaderSize) + ")");
+  }
+  const std::string_view payload = bytes.substr(kCheckpointHeaderSize);
+  if (common::xxhash64(payload) != payload_hash) {
+    return common::Error::make(what + ": payload checksum mismatch");
+  }
+  return payload;
+}
+
+/// dir/<prefix><seq, 8 digits>.bin
+std::filesystem::path numbered_path(const std::filesystem::path& dir,
+                                    const char* prefix, std::uint64_t seq) {
+  char name[40];
+  std::snprintf(name, sizeof(name), "%s%08llu.bin", prefix,
+                static_cast<unsigned long long>(seq));
+  return dir / name;
+}
+
+/// The number in `name` when it looks like <prefix><digits>.bin.
+std::optional<std::uint64_t> numbered(std::string_view name,
+                                      std::string_view prefix) {
+  if (name.size() < prefix.size() + 5 || !name.starts_with(prefix) ||
+      !name.ends_with(".bin")) {
+    return std::nullopt;
+  }
+  const auto digits =
+      name.substr(prefix.size(), name.size() - prefix.size() - 4);
+  std::uint64_t seq = 0;
+  for (const char ch : digits) {
+    if (ch < '0' || ch > '9') return std::nullopt;
+    seq = seq * 10 + static_cast<std::uint64_t>(ch - '0');
+  }
+  return seq;
+}
+
 }  // namespace
 
-std::string serialize_checkpoint(const CheckpointData& data) {
-  std::string p;
-  append_le64(p, data.config_hash);
-  append_le64(p, data.seq);
-  append_le64(p, data.tick);
-  append_i64(p, data.watermark);
+SegmentRows SegmentRows::since(const EmittedRows& all,
+                               const EmittedCounts& from) {
+  SegmentRows rows;
+  rows.errors = std::span(all.errors).subspan(from.errors);
+  rows.lifecycle = std::span(all.lifecycle).subspan(from.lifecycle);
+  rows.jobs = std::span(all.jobs.jobs).subspan(from.jobs);
+  rows.spill = std::span(all.jobs.spill).subspan(from.spill);
+  return rows;
+}
 
-  append_le32(p, static_cast<std::uint32_t>(data.sources.size()));
-  for (const auto& src : data.sources) {
+std::string serialize_manifest(const CheckpointManifest& m) {
+  std::string p;
+  append_le64(p, m.config_hash);
+  append_le64(p, m.seq);
+  append_le64(p, m.tick);
+  append_i64(p, m.watermark);
+
+  append_le32(p, static_cast<std::uint32_t>(m.sources.size()));
+  for (const auto& src : m.sources) {
     append_str(p, src.name);
     append_i64(p, src.date);
     append_le64(p, src.offset);
@@ -180,7 +273,7 @@ std::string serialize_checkpoint(const CheckpointData& data) {
   }
 
   {
-    const auto& a = data.accounting;
+    const auto& a = m.accounting;
     std::uint8_t flags = 0;
     if (a.seen) flags |= 1;
     if (a.degraded) flags |= 2;
@@ -193,96 +286,38 @@ std::string serialize_checkpoint(const CheckpointData& data) {
     append_le64(p, a.bytes_rejected);
   }
 
-  append_le32(p, static_cast<std::uint32_t>(data.stray_files.size()));
-  for (const auto& f : data.stray_files) append_str(p, f);
+  append_le32(p, static_cast<std::uint32_t>(m.stray_files.size()));
+  for (const auto& f : m.stray_files) append_str(p, f);
 
-  append_le64(p, data.coalescer.records_in);
-  append_le64(p, data.coalescer.errors_out);
-  append_le64(p, data.coalescer.out_of_order);
-  append_le32(p, static_cast<std::uint32_t>(data.coalescer.open.size()));
-  for (const auto& e : data.coalescer.open) append_error(p, e);
+  append_le64(p, m.coalescer.records_in);
+  append_le64(p, m.coalescer.errors_out);
+  append_le64(p, m.coalescer.out_of_order);
+  append_le32(p, static_cast<std::uint32_t>(m.coalescer.open.size()));
+  for (const auto& e : m.coalescer.open) append_error(p, e);
 
-  append_le64(p, data.errors.size());
-  for (const auto& e : data.errors) append_error(p, e);
-
-  append_le64(p, data.lifecycle.size());
-  for (const auto& l : data.lifecycle) {
-    append_i64(p, l.time);
-    append_u8(p, static_cast<std::uint8_t>(l.kind));
-    append_str(p, l.host);
+  append_le64(p, m.emitted.errors);
+  append_le64(p, m.emitted.lifecycle);
+  append_le64(p, m.emitted.jobs);
+  append_le64(p, m.emitted.spill);
+  append_le64(p, m.segments.size());
+  for (const auto& s : m.segments) {
+    append_le64(p, s.seq);
+    append_le64(p, s.bytes);
+    append_le64(p, s.hash);
   }
-
-  append_le64(p, data.jobs.jobs.size());
-  for (const auto& j : data.jobs.jobs) {
-    append_le64(p, j.id);
-    append_i64(p, j.start);
-    append_i64(p, j.end);
-    append_i32(p, j.gpus);
-    append_u8(p, static_cast<std::uint8_t>(j.state));
-    append_u8(p, j.is_ml ? 1 : 0);
-    append_u8(p, j.inline_count);
-    for (const auto g : j.gpus_inline) append_i32(p, g);
-    append_i32(p, j.spill_index);
-  }
-  append_le64(p, data.jobs.spill.size());
-  for (const auto& s : data.jobs.spill) {
-    append_le32(p, static_cast<std::uint32_t>(s.size()));
-    for (const auto g : s) append_i32(p, g);
-  }
-
-  std::string out;
-  out.reserve(kCheckpointHeaderSize + p.size());
-  out.append(kCheckpointMagic, sizeof(kCheckpointMagic));
-  append_le32(out, kCheckpointVersion);
-  append_le32(out, kCheckpointEndianTag);
-  append_le64(out, p.size());
-  append_le64(out, common::xxhash64(p));
-  append_le64(out, common::xxhash64(std::string_view(out)));
-  out += p;
-  return out;
+  return frame(kCheckpointMagic, p);
 }
 
-common::Result<CheckpointData> parse_checkpoint(std::string_view bytes) {
-  if (bytes.size() < kCheckpointHeaderSize) {
-    return common::Error::make("checkpoint: file shorter than header (" +
-                               std::to_string(bytes.size()) + " bytes)");
-  }
-  if (std::memcmp(bytes.data(), kCheckpointMagic, sizeof(kCheckpointMagic)) !=
-      0) {
-    return common::Error::make("checkpoint: bad magic");
-  }
-  const auto* h = reinterpret_cast<const unsigned char*>(bytes.data());
-  const std::uint32_t version = load_le32(h + 8);
-  if (version != kCheckpointVersion) {
-    return common::Error::make("checkpoint: unsupported version " +
-                               std::to_string(version));
-  }
-  if (load_le32(h + 12) != kCheckpointEndianTag) {
-    return common::Error::make("checkpoint: endian tag mismatch");
-  }
-  const std::uint64_t payload_size = load_le64(h + 16);
-  const std::uint64_t payload_hash = load_le64(h + 24);
-  const std::uint64_t header_hash = load_le64(h + 32);
-  if (common::xxhash64(bytes.substr(0, 32)) != header_hash) {
-    return common::Error::make("checkpoint: header checksum mismatch");
-  }
-  if (bytes.size() - kCheckpointHeaderSize != payload_size) {
-    return common::Error::make(
-        "checkpoint: payload size mismatch (header says " +
-        std::to_string(payload_size) + ", file carries " +
-        std::to_string(bytes.size() - kCheckpointHeaderSize) + ")");
-  }
-  const std::string_view payload = bytes.substr(kCheckpointHeaderSize);
-  if (common::xxhash64(payload) != payload_hash) {
-    return common::Error::make("checkpoint: payload checksum mismatch");
-  }
+common::Result<CheckpointManifest> parse_manifest(std::string_view bytes) {
+  auto payload = unframe(bytes, kCheckpointMagic, "checkpoint");
+  if (!payload.ok()) return payload.error();
 
-  Cursor c(payload);
-  CheckpointData data;
-  data.config_hash = c.u64();
-  data.seq = c.u64();
-  data.tick = c.u64();
-  data.watermark = c.i64();
+  Cursor c(payload.value());
+  CheckpointManifest m;
+  m.config_hash = c.u64();
+  m.seq = c.u64();
+  m.tick = c.u64();
+  m.watermark = c.i64();
 
   const std::uint32_t nsources = c.u32();
   for (std::uint32_t i = 0; i < nsources && !c.failed(); ++i) {
@@ -312,11 +347,11 @@ common::Result<CheckpointData> parse_checkpoint(std::string_view bytes) {
     sc.first_line = c.u64();
     sc.first_offset = c.u64();
     sc.first_category = category_from_code(c.u8());
-    data.sources.push_back(std::move(src));
+    m.sources.push_back(std::move(src));
   }
 
   {
-    auto& a = data.accounting;
+    auto& a = m.accounting;
     const std::uint8_t flags = c.u8();
     a.seen = (flags & 1) != 0;
     a.degraded = (flags & 2) != 0;
@@ -330,20 +365,95 @@ common::Result<CheckpointData> parse_checkpoint(std::string_view bytes) {
 
   const std::uint32_t nstray = c.u32();
   for (std::uint32_t i = 0; i < nstray && !c.failed(); ++i) {
-    data.stray_files.push_back(c.str());
+    m.stray_files.push_back(c.str());
   }
 
-  data.coalescer.records_in = c.u64();
-  data.coalescer.errors_out = c.u64();
-  data.coalescer.out_of_order = c.u64();
+  m.coalescer.records_in = c.u64();
+  m.coalescer.errors_out = c.u64();
+  m.coalescer.out_of_order = c.u64();
   const std::uint32_t nopen = c.u32();
   for (std::uint32_t i = 0; i < nopen && !c.failed(); ++i) {
-    data.coalescer.open.push_back(c.error());
+    m.coalescer.open.push_back(c.error());
+  }
+
+  m.emitted.errors = c.u64();
+  m.emitted.lifecycle = c.u64();
+  m.emitted.jobs = c.u64();
+  m.emitted.spill = c.u64();
+  const std::uint64_t nseg = c.u64();
+  for (std::uint64_t i = 0; i < nseg && !c.failed(); ++i) {
+    SegmentRef s;
+    s.seq = c.u64();
+    s.bytes = c.u64();
+    s.hash = c.u64();
+    m.segments.push_back(s);
+  }
+
+  if (c.failed() || !c.done()) {
+    return common::Error::make(
+        "checkpoint: payload truncated or trailing garbage");
+  }
+  // Every checkpoint writes exactly one segment, numbered like itself.
+  bool contiguous = m.segments.size() == m.seq;
+  for (std::size_t i = 0; contiguous && i < m.segments.size(); ++i) {
+    contiguous = m.segments[i].seq == i + 1;
+  }
+  if (!contiguous) {
+    return common::Error::make("checkpoint: segment list is not seg-1 .. seg-" +
+                               std::to_string(m.seq));
+  }
+  return m;
+}
+
+std::string serialize_segment(std::uint64_t seq, const SegmentRows& rows) {
+  std::string p;
+  append_le64(p, seq);
+  append_le64(p, rows.errors.size());
+  for (const auto& e : rows.errors) append_error(p, e);
+
+  append_le64(p, rows.lifecycle.size());
+  for (const auto& l : rows.lifecycle) {
+    append_i64(p, l.time);
+    append_u8(p, static_cast<std::uint8_t>(l.kind));
+    append_str(p, l.host);
+  }
+
+  append_le64(p, rows.jobs.size());
+  for (const auto& j : rows.jobs) {
+    append_le64(p, j.id);
+    append_i64(p, j.start);
+    append_i64(p, j.end);
+    append_i32(p, j.gpus);
+    append_u8(p, static_cast<std::uint8_t>(j.state));
+    append_u8(p, j.is_ml ? 1 : 0);
+    append_u8(p, j.inline_count);
+    for (const auto g : j.gpus_inline) append_i32(p, g);
+    append_i32(p, j.spill_index);
+  }
+  append_le64(p, rows.spill.size());
+  for (const auto& s : rows.spill) {
+    append_le32(p, static_cast<std::uint32_t>(s.size()));
+    for (const auto g : s) append_i32(p, g);
+  }
+  return frame(kSegmentMagic, p);
+}
+
+common::Status parse_segment(std::string_view bytes, std::uint64_t seq,
+                             EmittedRows& out) {
+  auto payload = unframe(bytes, kSegmentMagic, "checkpoint segment");
+  if (!payload.ok()) return payload.error();
+
+  Cursor c(payload.value());
+  const std::uint64_t got_seq = c.u64();
+  if (!c.failed() && got_seq != seq) {
+    return common::Error::make("checkpoint segment: holds seq " +
+                               std::to_string(got_seq) + ", expected " +
+                               std::to_string(seq));
   }
 
   const std::uint64_t nerrors = c.u64();
   for (std::uint64_t i = 0; i < nerrors && !c.failed(); ++i) {
-    data.errors.push_back(c.error());
+    out.errors.push_back(c.error());
   }
 
   const std::uint64_t nlife = c.u64();
@@ -352,9 +462,10 @@ common::Result<CheckpointData> parse_checkpoint(std::string_view bytes) {
     l.time = c.i64();
     l.kind = static_cast<analysis::LifecycleRecord::Kind>(c.u8());
     l.host = c.str();
-    data.lifecycle.push_back(std::move(l));
+    out.lifecycle.push_back(std::move(l));
   }
 
+  const std::size_t first_job = out.jobs.jobs.size();
   const std::uint64_t njobs = c.u64();
   for (std::uint64_t i = 0; i < njobs && !c.failed(); ++i) {
     analysis::JobView j;
@@ -367,7 +478,7 @@ common::Result<CheckpointData> parse_checkpoint(std::string_view bytes) {
     j.inline_count = c.u8();
     for (auto& g : j.gpus_inline) g = c.i32();
     j.spill_index = c.i32();
-    data.jobs.jobs.push_back(j);
+    out.jobs.jobs.push_back(j);
   }
   const std::uint64_t nspill = c.u64();
   for (std::uint64_t i = 0; i < nspill && !c.failed(); ++i) {
@@ -376,95 +487,136 @@ common::Result<CheckpointData> parse_checkpoint(std::string_view bytes) {
     for (std::uint32_t g = 0; g < n && !c.failed(); ++g) {
       gpus.push_back(c.i32());
     }
-    data.jobs.spill.push_back(std::move(gpus));
+    out.jobs.spill.push_back(std::move(gpus));
   }
 
   if (c.failed() || !c.done()) {
     return common::Error::make(
-        "checkpoint: payload truncated or trailing garbage");
+        "checkpoint segment: payload truncated or trailing garbage");
   }
-  return data;
+  // A job may only point at GPU lists that exist once this segment is in.
+  for (std::size_t i = first_job; i < out.jobs.jobs.size(); ++i) {
+    const auto& j = out.jobs.jobs[i];
+    if (j.inline_count > j.gpus_inline.size() ||
+        j.spill_index >= static_cast<std::int64_t>(out.jobs.spill.size())) {
+      return common::Error::make("checkpoint segment: job " +
+                                 std::to_string(j.id) +
+                                 " references a missing GPU list");
+    }
+  }
+  return {};
 }
 
-CheckpointStore::CheckpointStore(std::filesystem::path dir, std::uint32_t keep)
-    : dir_(std::move(dir)), keep_(keep == 0 ? 1 : keep) {}
+CheckpointStore::CheckpointStore(std::filesystem::path dir)
+    : dir_(std::move(dir)) {}
 
-std::filesystem::path CheckpointStore::path_for(std::uint64_t seq) const {
-  char name[32];
-  std::snprintf(name, sizeof(name), "ckpt-%08llu.bin",
-                static_cast<unsigned long long>(seq));
-  return dir_ / name;
+std::filesystem::path CheckpointStore::manifest_path(std::uint64_t seq) const {
+  return numbered_path(dir_, "ckpt-", seq);
 }
 
-namespace {
-
-/// The generation number of `name` when it looks like ckpt-<seq>.bin.
-std::optional<std::uint64_t> checkpoint_seq(std::string_view name) {
-  if (name.size() < 10 || name.substr(0, 5) != "ckpt-" ||
-      name.substr(name.size() - 4) != ".bin") {
-    return std::nullopt;
-  }
-  const auto digits = name.substr(5, name.size() - 9);
-  if (digits.empty()) return std::nullopt;
-  std::uint64_t seq = 0;
-  for (const char ch : digits) {
-    if (ch < '0' || ch > '9') return std::nullopt;
-    seq = seq * 10 + static_cast<std::uint64_t>(ch - '0');
-  }
-  return seq;
+std::filesystem::path CheckpointStore::segment_path(std::uint64_t seq) const {
+  return numbered_path(dir_, "seg-", seq);
 }
 
-}  // namespace
+common::Result<SegmentRef> CheckpointStore::write_segment(
+    std::uint64_t seq, const SegmentRows& rows) const {
+  const auto bytes = serialize_segment(seq, rows);
+  auto st = common::write_file_atomic(segment_path(seq).string(), bytes);
+  if (!st.ok()) return st.error();
+  return SegmentRef{seq, bytes.size(), common::xxhash64(bytes)};
+}
 
-common::Status CheckpointStore::write(const CheckpointData& data) const {
-  const auto bytes = serialize_checkpoint(data);
-  const auto path = path_for(data.seq);
-  auto st = common::write_file_atomic(path.string(), bytes);
-  if (!st.ok()) return st;
-  // Prune generations older than the newest `keep_`.  A failed remove is
-  // harmless (extra generations only cost disk), so errors are ignored.
+common::Result<std::uint64_t> CheckpointStore::write_manifest(
+    const CheckpointManifest& m) const {
+  const auto bytes = serialize_manifest(m);
+  auto st = common::write_file_atomic(manifest_path(m.seq).string(), bytes);
+  if (!st.ok()) return st.error();
+  // Keep manifests m.seq and m.seq - 1 and the segments they list; drop
+  // older manifests and anything newer left behind by a run this one fell
+  // back from.  A failed remove is harmless (extra files only cost disk),
+  // so errors are ignored.
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
-    const auto seq = checkpoint_seq(entry.path().filename().string());
-    if (seq.has_value() && *seq + keep_ <= data.seq) {
+    const auto name = entry.path().filename().string();
+    const auto manifest = numbered(name, "ckpt-");
+    const auto segment = numbered(name, "seg-");
+    const bool stale = (manifest && *manifest != m.seq &&
+                        *manifest + 1 != m.seq) ||
+                       (segment && *segment > m.seq);
+    if (stale) {
       std::error_code rm;
       std::filesystem::remove(entry.path(), rm);
     }
   }
-  return common::Status{};
+  return static_cast<std::uint64_t>(bytes.size());
 }
 
-common::Result<std::optional<CheckpointData>> CheckpointStore::load_latest(
+common::Result<std::optional<Checkpoint>> CheckpointStore::load_latest(
     const std::function<void(const std::string&)>& note) const {
+  const auto report = [&](const std::string& msg) {
+    if (note) note(msg);
+  };
   std::error_code ec;
-  if (!std::filesystem::is_directory(dir_, ec)) return std::optional<CheckpointData>{};
+  if (!std::filesystem::is_directory(dir_, ec)) {
+    return std::optional<Checkpoint>{};
+  }
   std::vector<std::pair<std::uint64_t, std::filesystem::path>> found;
   for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
-    const auto seq = checkpoint_seq(entry.path().filename().string());
+    const auto seq = numbered(entry.path().filename().string(), "ckpt-");
     if (seq.has_value()) found.emplace_back(*seq, entry.path());
   }
   std::sort(found.begin(), found.end(),
             [](const auto& a, const auto& b) { return a.first > b.first; });
   for (const auto& [seq, path] : found) {
+    const std::string label = "checkpoint " + path.filename().string();
     auto bytes = common::read_file(path.string());
     if (!bytes.ok()) {
-      if (note) {
-        note("checkpoint " + path.filename().string() +
-             " unreadable, falling back: " + bytes.error().message);
-      }
+      report(label + " unreadable, falling back: " + bytes.error().message);
       continue;
     }
-    auto parsed = parse_checkpoint(bytes.value());
+    auto parsed = parse_manifest(bytes.value());
     if (!parsed.ok()) {
-      if (note) {
-        note("checkpoint " + path.filename().string() +
-             " corrupt, falling back: " + parsed.error().message);
-      }
+      report(label + " corrupt, falling back: " + parsed.error().message);
       continue;
     }
-    return std::optional<CheckpointData>(std::move(parsed).take());
+    Checkpoint ckpt;
+    ckpt.manifest = std::move(parsed).take();
+    // Check every segment before loading any: one bad segment makes the
+    // whole generation unusable.
+    std::vector<std::string> segments;
+    std::string defect;
+    for (const auto& ref : ckpt.manifest.segments) {
+      const auto seg_path = segment_path(ref.seq);
+      auto seg = common::read_file(seg_path.string());
+      if (!seg.ok()) {
+        defect = seg_path.filename().string() + " unreadable: " +
+                 seg.error().message;
+      } else if (seg.value().size() != ref.bytes ||
+                 common::xxhash64(seg.value()) != ref.hash) {
+        defect = seg_path.filename().string() +
+                 " does not match its manifest entry";
+      }
+      if (!defect.empty()) break;
+      segments.push_back(std::move(seg).take());
+    }
+    for (std::size_t i = 0; defect.empty() && i < segments.size(); ++i) {
+      const auto st = parse_segment(segments[i], i + 1, ckpt.rows);
+      if (!st.ok()) defect = st.error().message;
+    }
+    if (defect.empty() && ckpt.rows.counts() != ckpt.manifest.emitted) {
+      defect = "segments hold a different number of rows than the manifest";
+    }
+    if (!defect.empty()) {
+      report(label + " has a corrupt segment, falling back: " + defect);
+      continue;
+    }
+    return std::optional<Checkpoint>(std::move(ckpt));
   }
-  return std::optional<CheckpointData>{};
+  if (!found.empty()) {
+    report("no usable checkpoint generation in " + dir_.string() +
+           ", starting fresh");
+  }
+  return std::optional<Checkpoint>{};
 }
 
 }  // namespace gpures::serve

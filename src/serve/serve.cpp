@@ -26,6 +26,11 @@ bool error_before(const analysis::CoalescedError& a,
   return xid::to_number(a.code) < xid::to_number(b.code);
 }
 
+/// A listing trusts an unchanged syslog/ mtime only once that mtime is this
+/// much older than the listing's start (git's racy-clean rule): a change in
+/// the same coarse timestamp granule as the listing would not move it.
+constexpr auto kRacyWindow = std::chrono::seconds(2);
+
 std::uint64_t count_newlines(std::string_view text) {
   std::uint64_t n = 0;
   for (const char c : text) {
@@ -76,6 +81,7 @@ struct ServeSession::Metrics {
   obs::Counter* retry_recovered = nullptr;
   obs::Counter* retry_exhausted = nullptr;
   obs::Counter* degraded_total = nullptr;
+  obs::Counter* rescans = nullptr;
   obs::Counter* ckpt_writes = nullptr;
   obs::Counter* ckpt_bytes = nullptr;
   obs::Counter* ckpt_failures = nullptr;
@@ -123,6 +129,7 @@ ServeSession::ServeSession(ServeConfig cfg) : cfg_(std::move(cfg)) {
   m_->retry_recovered = &reg.counter("serve.retry.recovered");
   m_->retry_exhausted = &reg.counter("serve.retry.exhausted");
   m_->degraded_total = &reg.counter("serve.sources.degraded_total");
+  m_->rescans = &reg.counter("serve.sources.rescans");
   m_->ckpt_writes = &reg.counter("serve.checkpoint.writes");
   m_->ckpt_bytes = &reg.counter("serve.checkpoint.bytes");
   m_->ckpt_failures = &reg.counter("serve.checkpoint.failures");
@@ -146,7 +153,7 @@ ServeSession::ServeSession(ServeConfig cfg) : cfg_(std::move(cfg)) {
   }
   coalescer_ = std::make_unique<analysis::Coalescer>(
       cfg_.coalescer, [this](const analysis::CoalescedError& e) {
-        errors_.push_back(e);
+        emitted_.errors.push_back(e);
         m_->errors_coalesced->inc();
       });
 }
@@ -177,11 +184,7 @@ std::uint64_t ServeSession::config_hash() const {
 }
 
 std::uint64_t ServeSession::degraded_count() const {
-  std::uint64_t n = acct_.degraded ? 1 : 0;
-  for (const auto& src : sources_) {
-    if (src.degraded) ++n;
-  }
-  return n;
+  return n_degraded_ + (acct_.degraded ? 1 : 0);
 }
 
 common::Status ServeSession::open(bool resume) {
@@ -191,7 +194,9 @@ common::Status ServeSession::open(bool resume) {
   periods_ = manifest.value().periods;
   topo_ = std::make_unique<cluster::Topology>(manifest.value().spec);
 
-  if (!fs::is_directory(cfg_.data_dir / "syslog")) {
+  syslog_dir_ = cfg_.data_dir / "syslog";
+  acct_path_ = (cfg_.data_dir / "slurm_accounting.txt").string();
+  if (!fs::is_directory(syslog_dir_)) {
     return common::Error::make("dataset: missing syslog/ in " +
                                cfg_.data_dir.string());
   }
@@ -213,14 +218,14 @@ common::Status ServeSession::open(bool resume) {
     auto loaded = store_->load_latest(cfg_.warn);
     if (!loaded.ok()) return loaded.error();
     if (loaded.value().has_value()) {
-      auto& data = *loaded.value();
-      if (data.config_hash != config_hash()) {
+      auto& ckpt = *loaded.value();
+      if (ckpt.manifest.config_hash != config_hash()) {
         return common::Error::make(
             "serve: checkpoint was written under a different configuration; "
             "refusing to resume (delete the checkpoint dir or rerun with the "
             "original flags)");
       }
-      restore(std::move(data));
+      restore(std::move(ckpt));
       if (cfg_.warn) {
         cfg_.warn("resumed from checkpoint seq " + std::to_string(seq_) +
                   " at tick " + std::to_string(tick_));
@@ -231,18 +236,35 @@ common::Status ServeSession::open(bool resume) {
 }
 
 common::Status ServeSession::scan_sources() {
-  const auto syslog_dir = cfg_.data_dir / "syslog";
+  // Appends to a day file never touch the directory's mtime; creates,
+  // renames and removals always do.  So an unchanged, settled mtime means
+  // the last listing still holds.  The reprobe cadence forces a listing as
+  // a backstop against a clock that moves mtimes backwards.
+  const auto started = fs::file_time_type::clock::now();
+  std::error_code mtime_ec;
+  const auto mtime = fs::last_write_time(syslog_dir_, mtime_ec);
+  const bool forced =
+      !listed_ || mtime_ec ||
+      (cfg_.reprobe_ticks > 0 && tick_ % cfg_.reprobe_ticks == 0);
+  if (!forced && mtime == listed_mtime_ && listed_at_ - mtime >= kRacyWindow) {
+    return {};
+  }
   std::error_code ec;
-  fs::directory_iterator it(syslog_dir, ec);
+  fs::directory_iterator it(syslog_dir_, ec);
   if (ec) {
     // The directory existed at open(); treat a transient disappearance like
     // any other source hiccup — keep the known sources, note it, move on.
+    listed_ = false;
     if (cfg_.warn) {
-      cfg_.warn("cannot scan " + syslog_dir.string() + ": " + ec.message());
+      cfg_.warn("cannot scan " + syslog_dir_.string() + ": " + ec.message());
     }
     return {};
   }
-  for (const auto& entry : fs::directory_iterator(syslog_dir, ec)) {
+  m_->rescans->inc();
+  listed_ = !mtime_ec;
+  listed_mtime_ = mtime;
+  listed_at_ = started;
+  for (const auto& entry : it) {
     const auto name = entry.path().filename().string();
     const auto date = analysis::day_file_date(name);
     if (!date || !entry.is_regular_file()) {
@@ -287,6 +309,8 @@ common::Status ServeSession::scan_sources() {
 void ServeSession::degrade(Source& src, const std::string& reason) {
   if (src.degraded) return;
   src.degraded = true;
+  ++n_degraded_;
+  if (!src.sealed) ++n_settled_;
   src.degrade_reason = reason;
   dirty_ = true;
   m_->degraded_total->inc();
@@ -327,8 +351,7 @@ void ServeSession::reprobe_degraded() {
     }
   }
   if (acct_.degraded) {
-    const auto path = (cfg_.data_dir / "slurm_accounting.txt").string();
-    if (probe(path, acct_.offset)) {
+    if (probe(acct_path_, acct_.offset)) {
       // Unlike a day file, the accounting tail has no ordering constraint
       // against other sources — resume it where it left off.
       acct_.degraded = false;
@@ -381,6 +404,8 @@ void ServeSession::advance_frontier() {
 
 void ServeSession::seal(Source& src) {
   src.sealed = true;
+  ++n_sealed_;
+  if (!src.degraded) ++n_settled_;
   dirty_ = true;
   watermark_ = std::max(watermark_, src.date + common::kDay);
   if (cfg_.warn) {
@@ -582,7 +607,7 @@ common::Status ServeSession::consume_day_text(Source& src, std::string&& text,
     parse_range(*parsers_[0], 0, n, parts[0]);
   }
   for (auto& part : parts) {
-    for (auto& l : part.lifecycle) lifecycle_.push_back(std::move(l));
+    for (auto& l : part.lifecycle) emitted_.lifecycle.push_back(std::move(l));
     for (const auto& o : part.obs) {
       coalescer_->add(o);
       if (o.time > watermark_) watermark_ = o.time;
@@ -594,9 +619,8 @@ common::Status ServeSession::consume_day_text(Source& src, std::string&& text,
 
 common::Status ServeSession::pump_accounting(bool drain) {
   if (acct_.degraded) return {};
-  const auto path = (cfg_.data_dir / "slurm_accounting.txt").string();
   std::error_code ec;
-  if (!fs::exists(cfg_.data_dir / "slurm_accounting.txt", ec)) {
+  if (!fs::exists(acct_path_, ec)) {
     // Absent is a coverage gap, not an error — same as the batch loader.
     acct_at_eof_ = true;
     return {};
@@ -609,7 +633,7 @@ common::Status ServeSession::pump_accounting(bool drain) {
   std::string chunk;
   bool at_end = false;
   while (true) {
-    auto r = read_with_retry(path, acct_.offset, max);
+    auto r = read_with_retry(acct_path_, acct_.offset, max);
     if (!r.ok()) {
       if (cfg_.policy == analysis::IngestPolicy::kStrict) {
         return common::Error::make("dataset: " + r.error().message);
@@ -664,7 +688,6 @@ common::Status ServeSession::consume_accounting_text(std::string&& text) {
 common::Status ServeSession::accounting_line(std::string_view line,
                                              std::uint64_t line_no,
                                              std::uint64_t byte_start) {
-  const auto path = (cfg_.data_dir / "slurm_accounting.txt").string();
   const auto trimmed = common::trim(line);
   if (trimmed.empty()) return {};
   m_->accounting_lines->inc();
@@ -673,30 +696,27 @@ common::Status ServeSession::accounting_line(std::string_view line,
   if (!rec.ok()) {
     m_->accounting_errors->inc();
     if (cfg_.policy == analysis::IngestPolicy::kStrict) {
-      return common::Error::at("dataset: malformed accounting row", path,
-                               line_no, byte_start);
+      return common::Error::at("dataset: malformed accounting row",
+                               acct_path_, line_no, byte_start);
     }
     acct_.rows_rejected += 1;
     acct_.bytes_rejected += trimmed.size();
     if (cfg_.error_budget > 0 && acct_.rows_rejected > cfg_.error_budget) {
       return common::Error::make(
           "dataset: accounting error budget exceeded: " +
-          std::to_string(acct_.rows_rejected) + " rejected rows in " + path +
+          std::to_string(acct_.rows_rejected) + " rejected rows in " +
+          acct_path_ +
           " (budget " + std::to_string(cfg_.error_budget) + ")");
     }
     return {};
   }
-  jobs_.add(rec.value());
+  emitted_.jobs.add(rec.value());
   acct_.rows_kept += 1;
   return {};
 }
 
 void ServeSession::watchdog_and_gauges() {
-  std::int64_t sealed = 0, degraded = 0, stalled = 0;
-  for (auto& src : sources_) {
-    if (src.sealed) ++sealed;
-    if (src.degraded) ++degraded;
-  }
+  std::int64_t stalled = 0;
   advance_frontier();
   if (frontier_ < sources_.size()) {
     Source& src = sources_[frontier_];
@@ -722,10 +742,9 @@ void ServeSession::watchdog_and_gauges() {
   } else {
     m_->lag_bytes->set(0);
   }
-  if (acct_.degraded) ++degraded;
   m_->sources_total->set(static_cast<std::int64_t>(sources_.size()));
-  m_->sources_sealed->set(sealed);
-  m_->sources_degraded->set(degraded);
+  m_->sources_sealed->set(static_cast<std::int64_t>(n_sealed_));
+  m_->sources_degraded->set(static_cast<std::int64_t>(degraded_count()));
   m_->sources_stalled->set(stalled);
   m_->watermark_epoch->set(watermark_);
   if (store_ != nullptr) {
@@ -743,13 +762,7 @@ common::Status ServeSession::tick() {
   if (cfg_.chaos_point) cfg_.chaos_point("tick");
   const std::uint64_t bytes_before = m_->bytes->value();
   const std::size_t sources_before = sources_.size();
-  const std::uint64_t sealed_degraded_before = [&] {
-    std::uint64_t n = 0;
-    for (const auto& s : sources_) {
-      if (s.sealed || s.degraded) ++n;
-    }
-    return n;
-  }();
+  const std::size_t settled_before = n_settled_;
 
   auto st = scan_sources();
   if (!st.ok()) return st;
@@ -761,16 +774,9 @@ common::Status ServeSession::tick() {
   st = pump_accounting(false);
   if (!st.ok()) return st;
 
-  const std::uint64_t sealed_degraded_after = [&] {
-    std::uint64_t n = 0;
-    for (const auto& s : sources_) {
-      if (s.sealed || s.degraded) ++n;
-    }
-    return n;
-  }();
   const bool progressed = m_->bytes->value() != bytes_before ||
                           sources_.size() != sources_before ||
-                          sealed_degraded_after != sealed_degraded_before;
+                          n_settled_ != settled_before;
   advance_frontier();
   bool days_drained = frontier_ >= sources_.size();
   if (!days_drained && frontier_ + 1 >= sources_.size() &&
@@ -793,37 +799,47 @@ common::Status ServeSession::maybe_checkpoint() {
 
 common::Status ServeSession::checkpoint_now() {
   if (store_ == nullptr) return {};
+  // finalize() sorts the emitted rows, so they are no longer append-only.
+  common::check(!finished_, "ServeSession: checkpoint_now() after finalize()");
   if (cfg_.chaos_point) cfg_.chaos_point("ckpt-pre");
-  CheckpointData data = snapshot();
-  data.seq = seq_ + 1;
-  const auto st = store_->write(data);
-  if (!st.ok()) {
-    // A checkpoint that cannot be written degrades durability, not service:
-    // keep ingesting, count it, and let the next cadence try again.
+  // A checkpoint that cannot be written degrades durability, not service:
+  // keep ingesting, count it, and let the next cadence try again (it
+  // rewrites the same segment with whatever has been emitted since).
+  const auto failed = [&](const common::Error& e) {
     m_->ckpt_failures->inc();
-    if (cfg_.warn) {
-      cfg_.warn("checkpoint write failed: " + st.error().message);
-    }
-    return {};
-  }
-  seq_ = data.seq;
+    if (cfg_.warn) cfg_.warn("checkpoint write failed: " + e.message);
+    return common::Status{};
+  };
+  const std::uint64_t seq = seq_ + 1;
+  auto segment = store_->write_segment(
+      seq, SegmentRows::since(emitted_, persisted_));
+  if (!segment.ok()) return failed(segment.error());
+  if (cfg_.chaos_point) cfg_.chaos_point("ckpt-seg");
+  CheckpointManifest m = snapshot();
+  m.seq = seq;
+  m.segments.push_back(segment.value());
+  const auto manifest_bytes = store_->write_manifest(m);
+  if (!manifest_bytes.ok()) return failed(manifest_bytes.error());
+  seq_ = seq;
+  segments_ = std::move(m.segments);
+  persisted_ = m.emitted;
   last_checkpoint_tick_ = tick_;
   dirty_ = false;
   m_->ckpt_writes->inc();
-  m_->ckpt_bytes->add(serialize_checkpoint(data).size());
+  m_->ckpt_bytes->add(segment.value().bytes + manifest_bytes.value());
   m_->ckpt_last_seq->set(static_cast<std::int64_t>(seq_));
   m_->ckpt_age_ticks->set(0);
   if (cfg_.chaos_point) cfg_.chaos_point("ckpt-post");
   return {};
 }
 
-CheckpointData ServeSession::snapshot() const {
-  CheckpointData data;
-  data.config_hash = config_hash();
-  data.seq = seq_;
-  data.tick = tick_;
-  data.watermark = watermark_;
-  data.sources.reserve(sources_.size());
+CheckpointManifest ServeSession::snapshot() const {
+  CheckpointManifest m;
+  m.config_hash = config_hash();
+  m.seq = seq_;
+  m.tick = tick_;
+  m.watermark = watermark_;
+  m.sources.reserve(sources_.size());
   for (const auto& src : sources_) {
     SourceSnapshot s;
     s.name = src.name;
@@ -838,27 +854,28 @@ CheckpointData ServeSession::snapshot() const {
     s.last_progress_tick = src.last_progress_tick;
     s.last_event = src.last_event;
     s.counts = src.counts;
-    data.sources.push_back(std::move(s));
+    m.sources.push_back(std::move(s));
   }
-  data.accounting = acct_;
-  data.stray_files = strays_;
-  data.coalescer = coalescer_->state();
-  data.errors = errors_;
-  data.lifecycle = lifecycle_;
-  data.jobs = jobs_;
-  return data;
+  m.accounting = acct_;
+  m.stray_files = strays_;
+  m.coalescer = coalescer_->state();
+  m.emitted = emitted_.counts();
+  m.segments = segments_;
+  return m;
 }
 
-void ServeSession::restore(CheckpointData&& data) {
+void ServeSession::restore(Checkpoint&& ckpt) {
+  auto& data = ckpt.manifest;
   tick_ = data.tick;
   seq_ = data.seq;
   last_checkpoint_tick_ = data.tick;
   watermark_ = data.watermark;
   sources_.clear();
+  n_sealed_ = n_degraded_ = n_settled_ = 0;
   for (auto& s : data.sources) {
     Source src;
     src.name = s.name;
-    src.path = (cfg_.data_dir / "syslog" / s.name).string();
+    src.path = (syslog_dir_ / s.name).string();
     src.date = s.date;
     src.offset = s.offset;
     src.lines_seen = s.lines_seen;
@@ -870,6 +887,9 @@ void ServeSession::restore(CheckpointData&& data) {
     src.last_progress_tick = s.last_progress_tick;
     src.last_event = s.last_event;
     src.counts = s.counts;
+    n_sealed_ += src.sealed ? 1 : 0;
+    n_degraded_ += src.degraded ? 1 : 0;
+    n_settled_ += src.sealed || src.degraded ? 1 : 0;
     sources_.push_back(std::move(src));
   }
   frontier_ = 0;
@@ -877,9 +897,9 @@ void ServeSession::restore(CheckpointData&& data) {
   acct_ = std::move(data.accounting);
   strays_ = std::move(data.stray_files);
   coalescer_->restore(data.coalescer);
-  errors_ = std::move(data.errors);
-  lifecycle_ = std::move(data.lifecycle);
-  jobs_ = std::move(data.jobs);
+  emitted_ = std::move(ckpt.rows);
+  segments_ = std::move(data.segments);
+  persisted_ = data.emitted;
   dirty_ = false;
 }
 
@@ -902,10 +922,23 @@ common::Status ServeSession::finalize() {
     if (!st.ok()) return st;
     if (acct_.offset == before) break;  // absent, or tailed to EOF
   }
+#ifndef NDEBUG
+  {
+    std::size_t sealed = 0, degraded = 0, settled = 0;
+    for (const auto& src : sources_) {
+      sealed += src.sealed ? 1 : 0;
+      degraded += src.degraded ? 1 : 0;
+      settled += src.sealed || src.degraded ? 1 : 0;
+    }
+    common::check(sealed == n_sealed_ && degraded == n_degraded_ &&
+                      settled == n_settled_,
+                  "ServeSession: source tallies differ from a recount");
+  }
+#endif
   coalescer_->flush();
   m_->out_of_order->add(coalescer_->out_of_order());
-  std::sort(errors_.begin(), errors_.end(), error_before);
-  std::stable_sort(lifecycle_.begin(), lifecycle_.end(),
+  std::sort(emitted_.errors.begin(), emitted_.errors.end(), error_before);
+  std::stable_sort(emitted_.lifecycle.begin(), emitted_.lifecycle.end(),
                    [](const analysis::LifecycleRecord& a,
                       const analysis::LifecycleRecord& b) {
                      return a.time < b.time;
@@ -997,11 +1030,11 @@ analysis::ErrorStats ServeSession::error_stats() const {
   cfg.node_count = topo_->node_count();
   cfg.outlier_share = cfg_.outlier_share;
   cfg.outlier_min = cfg_.outlier_min;
-  return analysis::compute_error_stats(errors_, periods_, cfg);
+  return analysis::compute_error_stats(emitted_.errors, periods_, cfg);
 }
 
 analysis::JobStats ServeSession::job_stats() const {
-  return analysis::compute_job_stats(jobs_, periods_.whole());
+  return analysis::compute_job_stats(emitted_.jobs, periods_.whole());
 }
 
 analysis::JobImpact ServeSession::job_impact() const {
@@ -1009,15 +1042,15 @@ analysis::JobImpact ServeSession::job_impact() const {
   cfg.window = cfg_.attribution_window;
   cfg.period = periods_.op;
   cfg.attribution = cfg_.attribution;
-  return analysis::compute_job_impact(jobs_, errors_, cfg, pool_.get(),
-                                      nullptr);
+  return analysis::compute_job_impact(emitted_.jobs, emitted_.errors, cfg,
+                                      pool_.get(), nullptr);
 }
 
 analysis::AvailabilityStats ServeSession::availability() const {
   analysis::AvailabilityConfig cfg;
   cfg.period = periods_.op;
   cfg.node_count = topo_->node_count();
-  return analysis::compute_availability(lifecycle_, cfg, pool_.get());
+  return analysis::compute_availability(emitted_.lifecycle, cfg, pool_.get());
 }
 
 double ServeSession::mttf_estimate_h() const {

@@ -20,9 +20,16 @@
 //    session keeps serving every other source and still exits 0.
 //  * A stall watchdog flags sources whose watermark stops advancing.
 //  * With a checkpoint directory configured, the session persists an
-//    atomic, checksummed snapshot every N ticks (see serve/checkpoint.h);
+//    atomic, checksummed checkpoint every N ticks (see serve/checkpoint.h):
+//    a segment of the rows emitted since the previous one plus a small
+//    manifest, so its cost tracks what changed, not the run so far.
 //    kill -9 at any point followed by open(resume=true) replays to the
 //    same final artifacts, at any thread count.
+//
+// A tick costs what changed, too: syslog/ is listed only when its mtime
+// says an entry may have been created, renamed or removed (appends to a
+// day file leave it alone), and sealed/degraded tallies are kept as
+// counts rather than recounted over every day.
 #pragma once
 
 #include <cstdint>
@@ -88,7 +95,8 @@ struct ServeConfig {
   /// silent.
   std::function<void(const std::string&)> warn;
   /// Test hook fired at named scheduler points ("tick", "ckpt-pre",
-  /// "ckpt-post"); the CLI's --chaos-kill raises SIGKILL from here.
+  /// "ckpt-seg" between the segment and manifest writes, "ckpt-post"); the
+  /// CLI's --chaos-kill raises SIGKILL from here.
   std::function<void(const char*)> chaos_point;
   /// Backoff sleep, injectable so fault tests run at full speed; null uses
   /// a real sleep.  Sleeping never affects results, only wall-clock.
@@ -108,7 +116,8 @@ class ServeSession {
   /// written under a different analysis configuration is rejected.
   common::Status open(bool resume);
 
-  /// One scheduler tick: rescan the directory, re-probe degraded sources,
+  /// One scheduler tick: rescan the directory (when its mtime says an entry
+  /// may have changed, and every reprobe_ticks), re-probe degraded sources,
   /// pump one chunk of the frontier day source and one of the accounting
   /// tail, run the stall watchdog, refresh gauges, and checkpoint on the
   /// configured cadence.  Returns an error only for fatal conditions
@@ -127,18 +136,18 @@ class ServeSession {
   /// the outputs equal a batch gpures-analyze run over the same bytes.
   common::Status finalize();
 
-  /// Force a checkpoint now (used at graceful shutdown).  No-op without a
-  /// checkpoint directory.
+  /// Force a checkpoint now (used at graceful shutdown, before finalize()).
+  /// No-op without a checkpoint directory.
   common::Status checkpoint_now();
 
   // ---- results (valid after finalize()) ----
   const std::vector<analysis::CoalescedError>& errors() const {
-    return errors_;
+    return emitted_.errors;
   }
   const std::vector<analysis::LifecycleRecord>& lifecycle() const {
-    return lifecycle_;
+    return emitted_.lifecycle;
   }
-  const analysis::JobTable& jobs() const { return jobs_; }
+  const analysis::JobTable& jobs() const { return emitted_.jobs; }
   const analysis::DataQualityReport& quality() const { return quality_; }
 
   analysis::ErrorStats error_stats() const;
@@ -166,6 +175,9 @@ class ServeSession {
   struct Source;
   struct Metrics;
 
+  /// List syslog/ for new day files and strays.  The listing is skipped
+  /// when the directory's mtime proves nothing was created, renamed or
+  /// removed since the last one; every reprobe_ticks it runs regardless.
   common::Status scan_sources();
   void reprobe_degraded();
   /// Read [offset, offset+max) of `path` under the retry policy.  On
@@ -191,8 +203,8 @@ class ServeSession {
   void advance_frontier();
   void watchdog_and_gauges();
   common::Status maybe_checkpoint();
-  CheckpointData snapshot() const;
-  void restore(CheckpointData&& data);
+  CheckpointManifest snapshot() const;
+  void restore(Checkpoint&& ckpt);
   void derive_quality();
 
   ServeConfig cfg_;
@@ -204,19 +216,31 @@ class ServeSession {
   std::unique_ptr<CheckpointStore> store_;
 
   std::vector<Source> sources_;  ///< date order
-  std::size_t frontier_ = 0;     ///< first unsealed, undegraded source
+  std::size_t frontier_ = 0;    ///< first unsealed, undegraded source
+  std::size_t n_sealed_ = 0;    ///< day sources sealed
+  std::size_t n_degraded_ = 0;  ///< day sources degraded
+  std::size_t n_settled_ = 0;   ///< day sources sealed or degraded
+  std::filesystem::path syslog_dir_;  ///< data_dir/syslog
+  std::string acct_path_;             ///< data_dir/slurm_accounting.txt
+  /// Discovery gate: syslog/'s mtime as of the last full listing, and when
+  /// that listing started.
+  bool listed_ = false;
+  std::filesystem::file_time_type listed_mtime_;
+  std::filesystem::file_time_type listed_at_;
   AccountingSnapshot acct_;
   std::string acct_fragment_pending_;  ///< unterminated tail seen at EOF
   bool acct_at_eof_ = false;
   std::vector<std::string> strays_;  ///< sorted, deduplicated
 
-  std::vector<analysis::CoalescedError> errors_;
-  std::vector<analysis::LifecycleRecord> lifecycle_;
-  analysis::JobTable jobs_;
+  /// Errors, lifecycle records and jobs in feed order; only appended to
+  /// until finalize() sorts them.
+  EmittedRows emitted_;
   analysis::DataQualityReport quality_;
 
   std::uint64_t tick_ = 0;
   std::uint64_t seq_ = 0;  ///< last checkpoint generation written/restored
+  std::vector<SegmentRef> segments_;  ///< segments of generation seq_
+  EmittedCounts persisted_;           ///< rows those segments hold
   std::uint64_t last_checkpoint_tick_ = 0;
   common::TimePoint watermark_ = 0;
   bool dirty_ = false;  ///< state changed since the last checkpoint

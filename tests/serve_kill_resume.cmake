@@ -1,6 +1,7 @@
 # Kill-resume differential for the serve daemon: SIGKILL the process at
-# chaos points (mid-tick, just before and just after a checkpoint write),
-# resume from the surviving checkpoint, and require the final index, JSON
+# chaos points (mid-tick, just before a checkpoint write, between its
+# segment and manifest writes, and just after it), resume from the
+# surviving checkpoint, and require the final index, JSON
 # export, quality report, and report stdout to be byte-identical to an
 # uninterrupted run — at --threads 0 and 4.  A transient-fault leg asserts
 # the retry policy absorbs planned I/O faults with identical bytes, and a
@@ -36,7 +37,7 @@ file(READ "${WORKDIR}/ref_quality.json" ref_quality HEX)
 
 # ---- kill at every chaos point, resume, compare bytes ----
 foreach(threads 0 4)
-  foreach(spec "tick:50" "ckpt-pre:2" "ckpt-post:2")
+  foreach(spec "tick:50" "ckpt-pre:2" "ckpt-seg:2" "ckpt-post:2")
     string(REPLACE ":" "_" tag "${spec}")
     set(ckpt "${WORKDIR}/ckpt_t${threads}_${tag}")
     execute_process(
@@ -47,6 +48,15 @@ foreach(threads 0 4)
     if(rc EQUAL 0)
       message(FATAL_ERROR
         "serve survived --chaos-kill ${spec} (threads ${threads})")
+    endif()
+    if(spec STREQUAL "ckpt-seg:2")
+      # The kill lands between the two writes: an orphan segment that the
+      # resumed run must ignore and then overwrite.
+      if(NOT EXISTS "${ckpt}/seg-00000002.bin" OR
+         EXISTS "${ckpt}/ckpt-00000002.bin")
+        message(FATAL_ERROR
+          "--chaos-kill ckpt-seg:2 did not leave an orphan segment (threads ${threads})")
+      endif()
     endif()
     execute_process(
       COMMAND "${SERVE}" --data "${WORKDIR}/ds" --once --resume

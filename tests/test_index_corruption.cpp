@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <unistd.h>
 #include <vector>
 
 #include "analysis/availability.h"
@@ -81,12 +82,16 @@ class IndexCorruption : public ::testing::Test {
     ASSERT_TRUE(bytes.ok()) << bytes.error().message;
     pristine_ = bytes.value();
 
-    dir_ = fs::temp_directory_path() / "gpures_idx_corruption";
+    // Keyed by pid: ctest -j runs every case of this suite as its own
+    // process, and they must not wipe each other's files.
+    dir_ = fs::temp_directory_path() /
+           ("gpures_idx_corruption_" + std::to_string(::getpid()));
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }
 
   static void TearDownTestSuite() {
+    fs::remove_all(dir_);
     delete topo_;
     delete errors_;
     delete jobs_;

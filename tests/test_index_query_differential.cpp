@@ -12,7 +12,9 @@
 #include <cmath>
 #include <filesystem>
 #include <optional>
+#include <string>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
 #include "analysis/availability.h"
@@ -48,7 +50,10 @@ class QueryDifferential : public ::testing::Test {
     campaign_->run();
     avail_ = new an::AvailabilityStats(campaign_->pipeline().availability());
 
-    const auto dir = fs::temp_directory_path() / "gpures_idx_differential";
+    // Per-process dir: ctest runs each case as its own process, possibly
+    // concurrently, and one must not rewrite the index another has mapped.
+    const auto dir = fs::temp_directory_path() /
+                     ("gpures_idx_differential_" + std::to_string(::getpid()));
     fs::remove_all(dir);
     fs::create_directories(dir);
     path_ = (dir / "gpures.idx").string();
@@ -76,6 +81,7 @@ class QueryDifferential : public ::testing::Test {
   static void TearDownTestSuite() {
     delete reader_;
     reader_ = nullptr;
+    if (!path_.empty()) fs::remove_all(fs::path(path_).parent_path());
     delete avail_;
     avail_ = nullptr;
     delete campaign_;

@@ -4,6 +4,7 @@
 // counts.  Permanent faults degrade sources instead of failing the run.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -144,6 +145,18 @@ struct ServeOutcome {
   an::DataQualityReport quality;
 };
 
+/// The outcome of a finalized session.
+ServeOutcome outcome_of(const sv::ServeSession& s) {
+  ServeOutcome out;
+  out.ok = true;
+  out.errors = s.errors();
+  out.lifecycle = s.lifecycle().size();
+  out.jobs = s.jobs().jobs.size();
+  out.degraded = s.degraded_count();
+  out.quality = s.quality();
+  return out;
+}
+
 /// Tick to idle (the --once loop), then finalize.
 ServeOutcome run_once(sv::ServeConfig cfg) {
   ServeOutcome out;
@@ -166,13 +179,7 @@ ServeOutcome run_once(sv::ServeConfig cfg) {
     out.error = st.error();
     return out;
   }
-  out.ok = true;
-  out.errors = s.errors();
-  out.lifecycle = s.lifecycle().size();
-  out.jobs = s.jobs().jobs.size();
-  out.degraded = s.degraded_count();
-  out.quality = s.quality();
-  return out;
+  return outcome_of(s);
 }
 
 void expect_same_errors(const std::vector<an::CoalescedError>& got,
@@ -193,6 +200,21 @@ void expect_matches_batch(const ServeOutcome& serve, const BatchOutcome& batch) 
   EXPECT_EQ(serve.lifecycle, batch.lifecycle);
   EXPECT_EQ(serve.jobs, batch.jobs);
   EXPECT_EQ(serve.quality.to_json(), batch.quality.to_json());
+}
+
+/// Set syslog/'s mtime an hour back, so the discovery gate may trust it.
+fs::file_time_type backdate_syslog(const fs::path& dir) {
+  const auto old = fs::file_time_type::clock::now() - std::chrono::hours(1);
+  fs::last_write_time(dir / "syslog", old);
+  return old;
+}
+
+std::uint64_t rescans(const sv::ServeSession& s) {
+  return s.metrics().counter_value("serve.sources.rescans");
+}
+
+std::int64_t sources_total(sv::ServeSession& s) {
+  return s.metrics().gauge("serve.sources.total").value();
 }
 
 }  // namespace
@@ -248,7 +270,6 @@ TEST(Serve, AbandonedSessionResumesToIdenticalResults) {
     cfg.checkpoint_dir = ckpt;
     cfg.checkpoint_interval = 1;
     cfg.max_chunk_bytes = 64;
-    ServeOutcome out;
     sv::ServeSession s(std::move(cfg));
     ASSERT_TRUE(s.open(true).ok());
     for (int i = 0; i < 4096 && !s.idle(); ++i) {
@@ -257,12 +278,7 @@ TEST(Serve, AbandonedSessionResumesToIdenticalResults) {
     }
     ASSERT_TRUE(s.finalize().ok());
     EXPECT_GT(s.checkpoint_seq(), 0u) << "resume did not find a checkpoint";
-    out.errors = s.errors();
-    out.lifecycle = s.lifecycle().size();
-    out.jobs = s.jobs().jobs.size();
-    out.quality = s.quality();
-    out.ok = true;
-    expect_matches_batch(out, batch);
+    expect_matches_batch(outcome_of(s), batch);
   }
   fs::remove_all(dir);
   fs::remove_all(ckpt);
@@ -332,13 +348,7 @@ TEST(Serve, FollowModeIngestsAppendsAndSplitLines) {
   ASSERT_TRUE(s.finalize().ok());
 
   // Batch over the final bytes sees exactly the same stream.
-  const BatchOutcome batch = batch_load(dir);
-  ServeOutcome out;
-  out.errors = s.errors();
-  out.lifecycle = s.lifecycle().size();
-  out.jobs = s.jobs().jobs.size();
-  out.quality = s.quality();
-  expect_matches_batch(out, batch);
+  expect_matches_batch(outcome_of(s), batch_load(dir));
   fs::remove_all(dir);
 }
 
@@ -517,4 +527,130 @@ TEST(Serve, StrayFilesAreReportedOnce) {
   ASSERT_EQ(serve.quality.stray_files.size(), 1u);
   EXPECT_EQ(serve.quality.stray_files[0], "notes.txt");
   fs::remove_all(dir);
+}
+
+TEST(Serve, UnchangedDirectoryIsListedOnlyOnTheBackstop) {
+  const auto dir = make_dataset("gate_quiet", 4);
+  const BatchOutcome batch = batch_load(dir);
+  backdate_syslog(dir);
+  sv::ServeConfig cfg = base_config(dir, 0);
+  cfg.max_chunk_bytes = 64;  // many ticks
+  cfg.reprobe_ticks = 5;
+  sv::ServeSession s(std::move(cfg));
+  ASSERT_TRUE(s.open(false).ok());
+  EXPECT_EQ(rescans(s), 1u);  // open() lists once
+  for (int i = 0; i < 4096 && !s.idle(); ++i) ASSERT_TRUE(s.tick().ok());
+  ASSERT_TRUE(s.idle());
+  ASSERT_GE(s.ticks(), 15u);
+  EXPECT_LE(rescans(s), 1 + s.ticks() / 5);
+  ASSERT_TRUE(s.finalize().ok());
+  expect_matches_batch(outcome_of(s), batch);
+  fs::remove_all(dir);
+}
+
+TEST(Serve, DayFileCreatedMidSessionIsFoundOnTheNextTick) {
+  const auto dir = make_dataset("gate_create", 3);
+  const auto day2_path = day_file(dir, 2);
+  std::string day2_bytes;
+  {
+    auto r = ct::read_file(day2_path.string());
+    ASSERT_TRUE(r.ok());
+    day2_bytes = std::move(r).take();
+  }
+  fs::remove(day2_path);
+  backdate_syslog(dir);
+
+  sv::ServeConfig cfg = base_config(dir, 0);
+  cfg.reprobe_ticks = 1000000;  // only the mtime can trigger a listing
+  sv::ServeSession s(std::move(cfg));
+  ASSERT_TRUE(s.open(false).ok());
+  for (int i = 0; i < 64 && !s.idle(); ++i) ASSERT_TRUE(s.tick().ok());
+  ASSERT_TRUE(s.idle());
+  EXPECT_EQ(rescans(s), 1u);
+  EXPECT_EQ(sources_total(s), 2);
+
+  // The producer rotates to a new day: the create moves syslog/'s mtime.
+  ASSERT_TRUE(ct::write_text_file(day2_path.string(), day2_bytes).ok());
+  ASSERT_TRUE(s.tick().ok());
+  EXPECT_EQ(rescans(s), 2u);
+  EXPECT_EQ(sources_total(s), 3);
+  for (int i = 0; i < 64 && !s.idle(); ++i) ASSERT_TRUE(s.tick().ok());
+  ASSERT_TRUE(s.finalize().ok());
+  expect_matches_batch(outcome_of(s), batch_load(dir));
+  fs::remove_all(dir);
+}
+
+TEST(Serve, SkewedClockFileIsFoundByTheReprobeBackstop) {
+  const auto dir = make_dataset("gate_skew", 3);
+  const auto day2_path = day_file(dir, 2);
+  std::string day2_bytes;
+  {
+    auto r = ct::read_file(day2_path.string());
+    ASSERT_TRUE(r.ok());
+    day2_bytes = std::move(r).take();
+  }
+  fs::remove(day2_path);
+  const auto old_mtime = backdate_syslog(dir);
+
+  constexpr std::uint64_t kReprobe = 8;
+  sv::ServeConfig cfg = base_config(dir, 0);
+  cfg.reprobe_ticks = kReprobe;
+  sv::ServeSession s(std::move(cfg));
+  ASSERT_TRUE(s.open(false).ok());
+  for (int i = 0; i < 64 && !s.idle(); ++i) ASSERT_TRUE(s.tick().ok());
+  ASSERT_TRUE(s.idle());
+  // Start right after a backstop listing, so the gate alone decides the
+  // next kReprobe - 1 ticks.
+  while (s.ticks() % kReprobe != 0) ASSERT_TRUE(s.tick().ok());
+
+  // A create whose mtime update is lost to a clock stepping backwards.
+  ASSERT_TRUE(ct::write_text_file(day2_path.string(), day2_bytes).ok());
+  fs::last_write_time(dir / "syslog", old_mtime);
+  for (std::uint64_t i = 1; i < kReprobe; ++i) {
+    ASSERT_TRUE(s.tick().ok());
+    EXPECT_EQ(sources_total(s), 2) << "tick " << s.ticks();
+  }
+  ASSERT_TRUE(s.tick().ok());  // the backstop listing
+  EXPECT_EQ(s.ticks() % kReprobe, 0u);
+  EXPECT_EQ(sources_total(s), 3);
+  for (int i = 0; i < 64 && !s.idle(); ++i) ASSERT_TRUE(s.tick().ok());
+  ASSERT_TRUE(s.finalize().ok());
+  expect_matches_batch(outcome_of(s), batch_load(dir));
+  fs::remove_all(dir);
+}
+
+TEST(Serve, CheckpointBytesGrowLinearlyNotQuadratically) {
+  const auto dir = make_dataset("ckpt_linear", 6);
+  const auto ckpt = temp_dir("ckpt_linear_ckpt");
+  const BatchOutcome batch = batch_load(dir);
+  sv::ServeConfig cfg = base_config(dir, 0);
+  cfg.checkpoint_dir = ckpt;
+  cfg.checkpoint_interval = 1;
+  cfg.max_chunk_bytes = 64;
+  sv::ServeSession s(std::move(cfg));
+  ASSERT_TRUE(s.open(false).ok());
+  const sv::CheckpointStore store(ckpt);
+  std::uintmax_t largest_manifest = 0;
+  for (int i = 0; i < 4096 && !s.idle(); ++i) {
+    ASSERT_TRUE(s.tick().ok());
+    largest_manifest =
+        std::max(largest_manifest,
+                 fs::file_size(store.manifest_path(s.checkpoint_seq())));
+  }
+  ASSERT_TRUE(s.idle());
+  const std::uint64_t writes =
+      s.metrics().counter_value("serve.checkpoint.writes");
+  ASSERT_GT(writes, 20u);
+  ASSERT_EQ(writes, s.checkpoint_seq());
+  std::uintmax_t segments = 0;
+  for (std::uint64_t seq = 1; seq <= s.checkpoint_seq(); ++seq) {
+    segments += fs::file_size(store.segment_path(seq));
+  }
+  // Every emitted row is written once; each checkpoint adds one manifest.
+  EXPECT_LE(s.metrics().counter_value("serve.checkpoint.bytes"),
+            segments + writes * largest_manifest);
+  ASSERT_TRUE(s.finalize().ok());
+  expect_matches_batch(outcome_of(s), batch);
+  fs::remove_all(dir);
+  fs::remove_all(ckpt);
 }

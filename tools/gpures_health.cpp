@@ -527,7 +527,8 @@ std::string render_md(const Report& r) {
         "serve.log_lines",       "serve.errors_coalesced",
         "serve.retry.attempts",  "serve.retry.recovered",
         "serve.retry.exhausted", "serve.sources.degraded_total",
-        "serve.checkpoint.writes", "serve.checkpoint.failures",
+        "serve.sources.rescans", "serve.checkpoint.writes",
+        "serve.checkpoint.failures",
     };
     for (const char* name : kServeCounters) {
       const auto it = r.metrics.counters.find(name);
