@@ -1,8 +1,7 @@
 // Serve-daemon benchmarks:
 //
-//  * follow-mode ingestion (ServeSession tick loop + finalize) vs the batch
-//    loader over the same dataset, at 0/4 worker threads — the price of
-//    incremental, checkpointable ingestion;
+//  * drain-once ingestion (ServeSession tick loop + finalize, what both
+//    gpures-analyze and gpures-serve --once run) at 0/4 worker threads;
 //  * chunk-size sweep: small chunks mean more ticks (more scheduler and
 //    directory-scan overhead) for identical results;
 //  * checkpoint cost as the emitted state grows: each checkpoint appends a
@@ -16,7 +15,6 @@
 #include <vector>
 
 #include "analysis/dataset.h"
-#include "analysis/pipeline.h"
 #include "cluster/topology.h"
 #include "common/rng.h"
 #include "logsys/log_store.h"
@@ -108,10 +106,7 @@ void run_serve(std::uint32_t threads, std::uint64_t chunk_bytes,
     cfg.max_chunk_bytes = chunk_bytes;
     serve::ServeSession s(std::move(cfg));
     if (!s.open(false).ok()) std::abort();
-    while (!s.idle()) {
-      if (!s.tick().ok()) std::abort();
-    }
-    if (!s.finalize().ok()) std::abort();
+    if (!s.drain().ok()) std::abort();
     errors = s.errors().size();
     benchmark::DoNotOptimize(errors);
   }
@@ -131,24 +126,6 @@ BENCHMARK(BM_ServeChunkSweep)
     ->Arg(256 << 10)
     ->Arg(4 << 20)
     ->Unit(benchmark::kMillisecond);
-
-void BM_BatchLoad(benchmark::State& state) {
-  for (auto _ : state) {
-    const auto m = analysis::read_manifest(dataset());
-    if (!m.ok()) std::abort();
-    const cluster::Topology t(m.value().spec);
-    analysis::PipelineConfig pcfg;
-    pcfg.periods = m.value().periods;
-    pcfg.num_threads = static_cast<std::uint32_t>(state.range(0));
-    analysis::AnalysisPipeline pipe(t, pcfg);
-    analysis::IngestOptions opt;
-    opt.policy = analysis::IngestPolicy::kLenient;
-    const auto loaded = analysis::load_dataset(dataset(), pipe, opt);
-    if (!loaded.ok()) std::abort();
-    benchmark::DoNotOptimize(pipe.errors().size());
-  }
-}
-BENCHMARK(BM_BatchLoad)->Arg(0)->Arg(4)->Unit(benchmark::kMillisecond);
 
 /// `n` synthetic errors starting at `first`.
 std::vector<analysis::CoalescedError> synthetic_errors(std::int64_t first,

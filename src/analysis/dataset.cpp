@@ -1,13 +1,9 @@
 #include "analysis/dataset.h"
 
-#include <algorithm>
 #include <fstream>
-#include <future>
 
 #include "common/io.h"
 #include "common/strings.h"
-#include "obs/trace.h"
-#include "slurm/accounting.h"
 
 namespace gpures::analysis {
 
@@ -224,371 +220,6 @@ std::optional<common::TimePoint> day_file_date(std::string_view filename) {
     }
   }
   return common::parse_iso(date);
-}
-
-namespace {
-
-/// Shared per-day ingestion: screen, apply policy, account, feed pipeline.
-/// Returns an error to abort the whole load (strict offense or exceeded
-/// budget); success otherwise.
-class DayIngestor {
- public:
-  DayIngestor(AnalysisPipeline& pipeline, const IngestOptions& opt)
-      : pipeline_(pipeline), opt_(opt) {
-    // Quarantine reasons as one labeled family on the pipeline's registry,
-    // so the --metrics artifact breaks dropped lines down by cause.
-    auto& reg = pipeline.metrics();
-    reg.describe("ingest.lines_dropped",
-                 "Raw log lines quarantined by the ingest screen, by reason",
-                 "lines");
-    m_dropped_torn_ = &reg.counter("ingest.lines_dropped", {{"reason", "torn"}});
-    m_dropped_binary_ =
-        &reg.counter("ingest.lines_dropped", {{"reason", "binary"}});
-    m_dropped_overlong_ =
-        &reg.counter("ingest.lines_dropped", {{"reason", "overlong"}});
-  }
-
-  common::Status ingest(const fs::path& path, common::TimePoint date,
-                        std::string&& text) {
-    const std::uint64_t file_bytes = text.size();
-    logsys::ScreenCounts sc;
-    auto day =
-        logsys::DayBuffer::from_text(date, std::move(text), opt_.screen, sc);
-    if (sc.torn_lines > 0) m_dropped_torn_->add(sc.torn_lines);
-    if (sc.binary_lines > 0) m_dropped_binary_->add(sc.binary_lines);
-    if (sc.overlong_lines > 0) m_dropped_overlong_->add(sc.overlong_lines);
-    if (sc.quarantined_lines() > 0) {
-      if (opt_.policy == IngestPolicy::kStrict) {
-        return common::Error::at(
-            "dataset: " + std::string(sc.first_category) +
-                " line rejected by strict ingest",
-            path.string(), sc.first_line, sc.first_offset);
-      }
-      if (opt_.error_budget > 0 && sc.quarantined_lines() > opt_.error_budget) {
-        return common::Error::make(
-            "dataset: per-day error budget exceeded: " +
-            std::to_string(sc.quarantined_lines()) + " quarantined lines in " +
-            path.string() + " (budget " + std::to_string(opt_.error_budget) +
-            ")");
-      }
-      if (opt_.warn) {
-        opt_.warn("quarantined " + std::to_string(sc.quarantined_lines()) +
-                  " corrupt lines (" +
-                  std::to_string(sc.quarantined_bytes()) + " bytes) in " +
-                  path.string());
-      }
-    }
-    if (sc.crlf_bytes > 0 && opt_.warn) {
-      opt_.warn("normalized " + std::to_string(sc.crlf_bytes) +
-                " CRLF line terminators in " + path.string());
-    }
-    if (auto* q = opt_.quality) {
-      q->days_present += 1;
-      q->lines_kept += sc.kept_lines;
-      q->bytes_kept += sc.kept_bytes;
-      q->binary_lines += sc.binary_lines;
-      q->binary_bytes += sc.binary_bytes;
-      q->overlong_lines += sc.overlong_lines;
-      q->overlong_bytes += sc.overlong_bytes;
-      q->torn_lines += sc.torn_lines;
-      q->torn_bytes += sc.torn_bytes;
-      q->crlf_bytes += sc.crlf_bytes;
-      if (file_bytes == 0) q->zero_byte_days += 1;
-      if (sc.quarantined_lines() > 0 || file_bytes == 0 || sc.crlf_bytes > 0) {
-        DayQuality dq;
-        dq.date = common::format_date(date);
-        dq.file_bytes = file_bytes;
-        dq.lines_kept = sc.kept_lines;
-        dq.bytes_kept = sc.kept_bytes;
-        dq.binary_lines = sc.binary_lines;
-        dq.binary_bytes = sc.binary_bytes;
-        dq.overlong_lines = sc.overlong_lines;
-        dq.overlong_bytes = sc.overlong_bytes;
-        dq.torn_lines = sc.torn_lines;
-        dq.torn_bytes = sc.torn_bytes;
-        dq.crlf_bytes = sc.crlf_bytes;
-        q->days.push_back(std::move(dq));
-      }
-    }
-    pipeline_.ingest_day(date, std::move(day));
-    return {};
-  }
-
- private:
-  AnalysisPipeline& pipeline_;
-  const IngestOptions& opt_;
-  obs::Counter* m_dropped_torn_ = nullptr;
-  obs::Counter* m_dropped_binary_ = nullptr;
-  obs::Counter* m_dropped_overlong_ = nullptr;
-};
-
-/// An unreadable day: strict aborts, lenient records a coverage gap.
-common::Status handle_read_failure(const fs::path& path,
-                                   common::TimePoint date,
-                                   const common::Error& err,
-                                   const IngestOptions& opt) {
-  if (opt.policy == IngestPolicy::kStrict) {
-    return common::Error::make("dataset: cannot read " + path.string() + ": " +
-                               err.message);
-  }
-  if (opt.quality != nullptr) {
-    opt.quality->skipped_days.push_back(
-        SkippedDay{common::format_date(date), err.message});
-  }
-  if (opt.warn) {
-    opt.warn("skipping unreadable day " + path.string() + ": " + err.message);
-  }
-  return {};
-}
-
-common::Status ingest_accounting(const fs::path& dir,
-                                 AnalysisPipeline& pipeline,
-                                 const IngestOptions& opt) {
-  const auto path = dir / "slurm_accounting.txt";
-  // A wholly absent dump is a coverage gap, not corruption: like a missing
-  // day, absent evidence is reported under both policies and fatal under
-  // neither (log-only datasets are legitimate).  Only a dump that exists
-  // but cannot be read — or carries malformed rows — is an error.
-  std::error_code exists_ec;
-  if (!fs::exists(path, exists_ec)) {
-    if (opt.quality != nullptr) {
-      opt.quality->accounting_present = false;
-    }
-    if (opt.warn) {
-      opt.warn("no slurm_accounting.txt in " + dir.string() +
-               ", job analyses will be empty");
-    }
-    return {};
-  }
-  auto acc = common::read_file(path.string());
-  if (!acc.ok()) {
-    if (opt.policy == IngestPolicy::kStrict) {
-      return common::Error::make("dataset: " + acc.error().message);
-    }
-    if (opt.quality != nullptr) {
-      opt.quality->accounting_present = false;
-      opt.quality->accounting_error = acc.error().message;
-    }
-    if (opt.warn) {
-      opt.warn("accounting dump unreadable, job analyses will be empty: " +
-               acc.error().message);
-    }
-    return {};
-  }
-  if (opt.quality != nullptr) opt.quality->accounting_present = true;
-  const std::string header = slurm::accounting_header();
-  const std::string text = std::move(acc).take();
-  std::size_t start = 0;
-  std::uint64_t line_no = 0;
-  std::uint64_t rejected = 0;
-  while (start < text.size()) {
-    std::size_t nl = text.find('\n', start);
-    const std::size_t end = nl == std::string::npos ? text.size() : nl;
-    const auto line = std::string_view(text).substr(start, end - start);
-    ++line_no;
-    const auto trimmed = common::trim(line);
-    const bool accepted = pipeline.ingest_accounting_line(line);
-    if (!accepted) {
-      if (opt.policy == IngestPolicy::kStrict) {
-        return common::Error::at("dataset: malformed accounting row",
-                                 path.string(), line_no, start);
-      }
-      ++rejected;
-      if (opt.quality != nullptr) {
-        opt.quality->accounting_rows_rejected += 1;
-        opt.quality->accounting_bytes_rejected += trimmed.size();
-      }
-      if (opt.error_budget > 0 && rejected > opt.error_budget) {
-        return common::Error::make(
-            "dataset: accounting error budget exceeded: " +
-            std::to_string(rejected) + " rejected rows in " + path.string() +
-            " (budget " + std::to_string(opt.error_budget) + ")");
-      }
-    } else if (opt.quality != nullptr && !trimmed.empty() &&
-               trimmed != header) {
-      opt.quality->accounting_rows_kept += 1;
-    }
-    if (nl == std::string::npos) break;
-    start = nl + 1;
-  }
-  if (rejected > 0 && opt.warn) {
-    opt.warn("rejected " + std::to_string(rejected) +
-             " malformed accounting rows in " + path.string());
-  }
-  return {};
-}
-
-}  // namespace
-
-common::Result<std::uint64_t> load_dataset(const fs::path& dir,
-                                           AnalysisPipeline& pipeline,
-                                           const IngestOptions& options,
-                                           obs::ProgressReporter* progress) {
-  OBS_SPAN("dataset.load");
-  const auto syslog_dir = dir / "syslog";
-  if (!fs::is_directory(syslog_dir)) {
-    return common::Error::make("dataset: missing syslog/ in " + dir.string());
-  }
-  // Collect day files; names encode the date, so lexicographic order is
-  // chronological order.  Anything that is not exactly a day file — editor
-  // backups, .swp droppings, stray directories — is skipped and recorded,
-  // never treated as a day.
-  struct DayFile {
-    fs::path path;
-    common::TimePoint date = 0;
-  };
-  std::vector<DayFile> days;
-  for (const auto& entry : fs::directory_iterator(syslog_dir)) {
-    const auto name = entry.path().filename().string();
-    const auto date = day_file_date(name);
-    if (!date || !entry.is_regular_file()) {
-      if (options.quality != nullptr) {
-        options.quality->stray_files.push_back(name);
-      }
-      if (options.warn) {
-        options.warn("ignoring stray entry in syslog/: " + name);
-      }
-      continue;
-    }
-    days.push_back(DayFile{entry.path(), *date});
-  }
-  std::sort(days.begin(), days.end(),
-            [](const DayFile& a, const DayFile& b) { return a.path < b.path; });
-  if (options.quality != nullptr) {
-    // Stray-file order must not depend on directory iteration order.
-    std::sort(options.quality->stray_files.begin(),
-              options.quality->stray_files.end());
-  }
-
-  // Coverage: every date in the expected range (the manifest periods, or the
-  // span of the files present) must have a day file.
-  if (options.quality != nullptr) {
-    auto* q = options.quality;
-    q->policy = options.policy;
-    q->error_budget = options.error_budget;
-    common::TimePoint begin = options.expect_begin;
-    common::TimePoint end = options.expect_end;
-    if (end <= begin && !days.empty()) {
-      begin = days.front().date;
-      end = days.back().date + common::kDay;
-    }
-    if (end > begin) {
-      std::size_t next = 0;
-      for (common::TimePoint t = common::start_of_day(begin); t < end;
-           t += common::kDay) {
-        q->days_expected += 1;
-        while (next < days.size() && days[next].date < t) ++next;
-        if (next >= days.size() || days[next].date != t) {
-          q->missing_days.push_back(common::format_date(t));
-        }
-      }
-    }
-  }
-
-  // Day ingestion.  Serial mode reads each file with one sized read and
-  // hands the string to the pipeline, which adopts it as the day's arena.
-  // Parallel mode overlaps I/O with parsing: a sliding window of read tasks
-  // runs on the pipeline's own pool (day N parses while days N+1..N+k load),
-  // but days are *consumed* strictly in file order, so the ingestion
-  // sequence — and thus every downstream artifact — is identical to serial.
-  common::ThreadPool* pool = pipeline.pool();
-  DayIngestor ingestor(pipeline, options);
-  std::uint64_t ingested = 0;
-  const auto note_progress = [&] {
-    ++ingested;
-    if (progress != nullptr) {
-      progress->update(static_cast<std::size_t>(ingested), days.size());
-    }
-  };
-  if (pool == nullptr) {
-    for (std::size_t i = 0; i < days.size(); ++i) {
-      auto text = common::read_file(days[i].path.string());
-      if (!text.ok()) {
-        auto st = handle_read_failure(days[i].path, days[i].date, text.error(),
-                                      options);
-        if (!st.ok()) return st.error();
-        continue;
-      }
-      auto st = ingestor.ingest(days[i].path, days[i].date,
-                                std::move(text).take());
-      if (!st.ok()) return st.error();
-      note_progress();
-    }
-  } else {
-    struct Slot {
-      std::string text;
-      common::Error error;
-      bool failed = false;
-    };
-    const std::size_t window = pool->size() + 1;
-    std::vector<Slot> slots(days.size());
-    std::vector<std::future<void>> reads(days.size());
-    // Prefetch depth: schedule/consume both happen on this thread, so the
-    // gauge (and its max — the peak window fill) is deterministic.
-    auto& reg = pipeline.metrics();
-    reg.describe("ingest.prefetch.in_flight",
-                 "Day-file read tasks scheduled but not yet consumed", "days");
-    obs::Gauge& prefetch_depth = reg.gauge("ingest.prefetch.in_flight");
-    // Any early return below (strict offense, exceeded error budget, read
-    // failure) unwinds while up to `window` read tasks are still queued or
-    // running against `slots` and `days` — and these futures come from
-    // packaged_task, whose destructor does not block.  Drain whatever is
-    // still in flight on every exit path; on the success path all futures
-    // have been consumed by .get() and this is a no-op.
-    struct DrainInFlight {
-      std::vector<std::future<void>>& reads;
-      ~DrainInFlight() {
-        for (auto& f : reads) {
-          if (f.valid()) f.wait();
-        }
-      }
-    } drain{reads};
-    const auto schedule = [&](std::size_t i) {
-      prefetch_depth.add(1);
-      reads[i] = pool->submit([&slots, &days, i] {
-        auto text = common::read_file(days[i].path.string());
-        if (text.ok()) {
-          slots[i].text = std::move(text).take();
-        } else {
-          slots[i].error = text.error();
-          slots[i].failed = true;
-        }
-      });
-    };
-    for (std::size_t i = 0; i < std::min(window, days.size()); ++i) {
-      schedule(i);
-    }
-    for (std::size_t i = 0; i < days.size(); ++i) {
-      reads[i].get();
-      prefetch_depth.add(-1);
-      // Keep the read window full before parsing blocks this thread.
-      if (i + window < days.size()) schedule(i + window);
-      if (slots[i].failed) {
-        auto st = handle_read_failure(days[i].path, days[i].date,
-                                      slots[i].error, options);
-        if (!st.ok()) return st.error();
-        continue;
-      }
-      auto st = ingestor.ingest(days[i].path, days[i].date,
-                                std::move(slots[i].text));
-      if (!st.ok()) return st.error();
-      note_progress();
-    }
-  }
-
-  // Accounting: one sized read, then an in-place newline split (getline
-  // pulled ~1.5M lines through the streambuf one character at a time).
-  auto acc_status = ingest_accounting(dir, pipeline, options);
-  if (!acc_status.ok()) return acc_status.error();
-
-  pipeline.finish();
-  return ingested;
-}
-
-common::Result<std::uint64_t> load_dataset(const fs::path& dir,
-                                           AnalysisPipeline& pipeline,
-                                           obs::ProgressReporter* progress) {
-  return load_dataset(dir, pipeline, IngestOptions{}, progress);
 }
 
 }  // namespace gpures::analysis

@@ -7,8 +7,9 @@
 //   syslog/syslog-YYYY-MM-DD.log   one consolidated day file per day
 //   slurm_accounting.txt       sacct-style dump (header + one job per line)
 //
-// `DatasetWriter` materializes a campaign's raw artifacts; `load_dataset`
-// streams a directory through an AnalysisPipeline day by day.
+// `DatasetWriter` materializes a campaign's raw artifacts.  A directory is
+// read back by serve::ServeSession (serve/serve.h), the one ingestion path
+// behind both gpures-analyze and gpures-serve.
 //
 // Real logs arrive hostile — truncated, interleaved with garbage, partially
 // missing — so ingestion runs under an IngestPolicy: strict fails fast with
@@ -21,19 +22,16 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "analysis/data_quality.h"
 #include "analysis/periods.h"
-#include "analysis/pipeline.h"
 #include "cluster/topology.h"
 #include "common/error.h"
 #include "logsys/day_buffer.h"
 #include "logsys/log_store.h"
-#include "obs/progress.h"
 
 namespace gpures::analysis {
 
@@ -102,45 +100,5 @@ common::Result<DatasetManifest> read_manifest(const std::filesystem::path& dir);
 /// else in syslog/ (editor backups, .swp droppings, stray directories) is
 /// skipped with a warning, never ingested as a day.
 std::optional<common::TimePoint> day_file_date(std::string_view filename);
-
-/// Options controlling how load_dataset treats hostile input.
-struct IngestOptions {
-  IngestPolicy policy = IngestPolicy::kStrict;
-  /// Max quarantined lines per day file and max rejected accounting rows; a
-  /// lenient run exceeding it aborts with an error.  0 = unlimited.
-  std::uint64_t error_budget = 0;
-  /// Line screen (max line length) applied while slicing day files.
-  logsys::LineScreen screen;
-  /// Expected day range [expect_begin, expect_end) for coverage accounting
-  /// (pass the manifest periods).  When expect_end <= expect_begin the
-  /// range is inferred from the day files actually present.
-  common::TimePoint expect_begin = 0;
-  common::TimePoint expect_end = 0;
-  /// Filled with the run's data-quality accounting when non-null.
-  DataQualityReport* quality = nullptr;
-  /// Receives human-readable warnings (stray files, quarantines, skipped
-  /// days); null = silent (everything is still recorded in `quality`).
-  std::function<void(const std::string&)> warn;
-};
-
-/// Stream a dataset directory through a pipeline: every syslog day file in
-/// date order, then the accounting dump; finishes the pipeline.  Returns the
-/// number of day files ingested or an error.  An optional progress reporter
-/// receives (days ingested, total day files).
-///
-/// On clean input the ingested byte sequence — and therefore every
-/// downstream artifact — is identical under both policies, any thread
-/// count, and the pre-hardening loader.
-common::Result<std::uint64_t> load_dataset(const std::filesystem::path& dir,
-                                           AnalysisPipeline& pipeline,
-                                           const IngestOptions& options,
-                                           obs::ProgressReporter* progress =
-                                               nullptr);
-
-/// Strict-policy convenience overload (the pre-hardening signature).
-common::Result<std::uint64_t> load_dataset(const std::filesystem::path& dir,
-                                           AnalysisPipeline& pipeline,
-                                           obs::ProgressReporter* progress =
-                                               nullptr);
 
 }  // namespace gpures::analysis

@@ -22,14 +22,15 @@ void section(std::string& out, const std::string& heading,
 
 }  // namespace
 
-std::string render_markdown_report(const AnalysisPipeline& pipe,
-                                   const cluster::Topology& topo,
+std::string render_markdown_report(const Stage3& run, const PipeCounts& c,
                                    const MarkdownReportOptions& opts) {
   std::string out;
   out += "# " + opts.title + "\n\n";
 
-  const auto& periods = pipe.config().periods;
-  const auto& c = pipe.counters();
+  const auto& periods = run.config().periods;
+  const auto& topo = run.topo();
+  const auto& errors = run.rows().errors;
+  const auto& jobs = run.rows().jobs;
   char buf[512];
   std::snprintf(
       buf, sizeof(buf),
@@ -43,11 +44,11 @@ std::string render_markdown_report(const AnalysisPipeline& pipe,
       static_cast<unsigned long long>(c.xid_records),
       static_cast<unsigned long long>(c.lifecycle_records),
       static_cast<unsigned long long>(c.rejected_lines),
-      pipe.jobs().jobs.size(), pipe.errors().size());
+      jobs.jobs.size(), errors.size());
   out += buf;
 
-  const auto stats = pipe.error_stats();
-  const bool have_jobs = !pipe.jobs().jobs.empty();
+  const auto stats = run.error_stats();
+  const bool have_jobs = !jobs.jobs.empty();
 
   if (opts.quality != nullptr) {
     out += opts.quality->to_markdown();
@@ -61,39 +62,34 @@ std::string render_markdown_report(const AnalysisPipeline& pipe,
   }
   if (opts.include_table2 && have_jobs) {
     section(out, "GPU error impact on jobs (Table II)",
-            render_table2(pipe.job_impact()));
+            render_table2(run.job_impact()));
   }
   if (opts.include_table3 && have_jobs) {
-    section(out, "Job population (Table III)", render_table3(pipe.job_stats()));
+    section(out, "Job population (Table III)", render_table3(run.job_stats()));
   }
   if (opts.include_fig2) {
     section(out, "Unavailability and availability (Fig. 2)",
-            render_fig2(pipe.availability(), pipe.mttf_estimate_h()));
+            render_fig2(run.availability(), run.mttf_estimate_h()));
   }
   if (opts.include_trends) {
     section(out, "Trends, burstiness, concentration",
-            render_trends(pipe.errors(), periods, pipe.pool()));
+            render_trends(errors, periods, run.pool()));
   }
   if (opts.include_survival) {
     section(out, "Survival analysis",
-            render_survival(pipe.errors(), periods, topo.total_gpus(),
-                            pipe.pool()));
+            render_survival(errors, periods, topo.total_gpus(), run.pool()));
   }
   if (opts.include_mitigation && have_jobs) {
-    JobImpactConfig icfg;
-    icfg.window = pipe.config().attribution_window;
-    icfg.period = periods.op;
-    icfg.attribution = pipe.config().attribution;
     section(out, "Mitigation what-ifs",
-            render_mitigation(pipe.jobs(), pipe.errors(), icfg, pipe.pool()));
+            render_mitigation(jobs, errors, run.impact_config(), run.pool()));
   }
   if (opts.include_scorecard) {
-    const auto impact = have_jobs ? pipe.job_impact() : JobImpact{};
-    const auto jobs = have_jobs ? pipe.job_stats() : JobStats{};
-    const auto avail = pipe.availability();
+    const auto impact = have_jobs ? run.job_impact() : JobImpact{};
+    const auto population = have_jobs ? run.job_stats() : JobStats{};
+    const auto avail = run.availability();
     const auto card = score_reproduction(
-        &stats, have_jobs ? &impact : nullptr, have_jobs ? &jobs : nullptr,
-        &avail, pipe.mttf_estimate_h());
+        &stats, have_jobs ? &impact : nullptr,
+        have_jobs ? &population : nullptr, &avail, run.mttf_estimate_h());
     section(out, "Reproduction scorecard", card.render());
   }
   return out;

@@ -1,5 +1,5 @@
 // Markdown report generation: one self-contained document with every table,
-// figure series, finding, and extension analysis a pipeline produced — the
+// figure series, finding, and extension analysis a run produced — the
 // artifact a reliability team would attach to a quarterly review.  The
 // `gpures-analyze --report-md FILE` flag writes it.
 #pragma once
@@ -7,7 +7,7 @@
 #include <string>
 
 #include "analysis/data_quality.h"
-#include "analysis/pipeline.h"
+#include "analysis/stages.h"
 
 namespace gpures::analysis {
 
@@ -28,9 +28,10 @@ struct MarkdownReportOptions {
   bool include_scorecard = false;   ///< only meaningful at full Delta scale
 };
 
-/// Render the full report from a finished pipeline.
-std::string render_markdown_report(const AnalysisPipeline& pipe,
-                                   const cluster::Topology& topo,
+/// Render the full report from a finished run: Stage III over its rows, and
+/// the Stage-I/II counts of what it ingested.  Either engine provides both
+/// (`stage3()` and `counters()`).
+std::string render_markdown_report(const Stage3& run, const PipeCounts& c,
                                    const MarkdownReportOptions& opts = {});
 
 }  // namespace gpures::analysis

@@ -31,6 +31,7 @@
 #include "analysis/job_impact.h"
 #include "analysis/job_stats.h"
 #include "analysis/periods.h"
+#include "analysis/stages.h"
 #include "cluster/topology.h"
 #include "common/thread_pool.h"
 #include "logsys/day_buffer.h"
@@ -49,7 +50,8 @@ struct PipelineConfig {
   common::Duration attribution_window = 20;
   /// Error-to-job attribution granularity (see job_impact.h).
   Attribution attribution = Attribution::kGpuLevel;
-  /// Use the std::regex Stage-I matcher instead of the fast scanner.
+  /// Use the std::regex Stage-I matcher instead of the fast scanner (a
+  /// test oracle for the fast one; no CLI exposes it).
   bool use_regex_parser = false;
   /// Worker threads for every stage.  0 (the default) runs fully serial;
   /// N > 0 runs Stage I day-sharded, Stage II GPU-sharded, and Stage III
@@ -86,7 +88,7 @@ class AnalysisPipeline {
   void ingest_log_day(common::TimePoint day_start,
                       std::span<const logsys::RawLine> lines);
   /// Ingest newline-separated day text by taking ownership of the string:
-  /// the text becomes the day's arena with no copy (loaders pass the whole
+  /// the text becomes the day's arena with no copy (callers pass the whole
   /// file straight through).
   void ingest_log_text(common::TimePoint day_start, std::string&& text);
   /// Same, from borrowed text (copies once into an arena).
@@ -96,7 +98,7 @@ class AnalysisPipeline {
     ingest_log_text(day_start, std::string_view(text));
   }
   /// Ingest one accounting line.  Returns false when the line is malformed
-  /// (counted and skipped here; the loader's ingest policy decides whether
+  /// (counted and skipped here; the caller's ingest policy decides whether
   /// that aborts the run).  Header and blank lines are accepted trivially.
   bool ingest_accounting_line(std::string_view line);
 
@@ -108,35 +110,29 @@ class AnalysisPipeline {
   const std::vector<LifecycleRecord>& lifecycle() const { return lifecycle_; }
   const JobTable& jobs() const { return jobs_; }
 
-  ErrorStats error_stats() const;
-  JobStats job_stats() const;                 ///< full characterization window
-  JobStats job_stats(const Period& w) const;  ///< custom window
-  JobImpact job_impact() const;               ///< operational period
-  AvailabilityStats availability() const;     ///< operational period
+  ErrorStats error_stats() const { return stage3_->error_stats(); }
+  /// Full characterization window.
+  JobStats job_stats() const { return stage3_->job_stats(); }
+  /// Custom window.
+  JobStats job_stats(const Period& w) const { return stage3_->job_stats(w); }
+  /// Operational period.
+  JobImpact job_impact() const { return stage3_->job_impact(); }
+  /// Operational period.
+  AvailabilityStats availability() const { return stage3_->availability(); }
   /// Conservative MTTF estimate: the all-error per-node MTBE in op (the
   /// paper assumes every GPU error interrupts the node).
-  double mttf_estimate_h() const;
+  double mttf_estimate_h() const { return stage3_->mttf_estimate_h(); }
+  /// Stage III over this pipeline's rows (what the accessors above call).
+  const Stage3& stage3() const { return *stage3_; }
 
   // ---- diagnostics ----
-  /// Snapshot view of the pipe.* metrics, kept as a plain struct for API
-  /// compatibility.  The values themselves live on the obs metrics
-  /// registry (PipelineConfig::metrics or the pipeline's private one).
-  struct Counters {
-    std::uint64_t log_lines = 0;
-    std::uint64_t xid_records = 0;
-    std::uint64_t lifecycle_records = 0;
-    std::uint64_t rejected_lines = 0;     ///< noise / non-matching
-    std::uint64_t unknown_hosts = 0;      ///< matched but unresolvable
-    std::uint64_t accounting_lines = 0;
-    std::uint64_t accounting_errors = 0;
-    /// Observations violating the coalescer's per-(GPU, code) nondecreasing-
-    /// time contract (valid after finish(); see Coalescer::out_of_order()).
-    std::uint64_t out_of_order_observations = 0;
-  };
+  /// Snapshot view of the pipe.* metrics.  The values themselves live on
+  /// the obs metrics registry (PipelineConfig::metrics or the pipeline's
+  /// private one).
+  using Counters = PipeCounts;
   Counters counters() const;
   /// The registry collecting this pipeline's metrics (never null).  The
-  /// mutable overload lets collaborators that feed the pipeline (the dataset
-  /// loader, the query layer) register their own families on the same
+  /// mutable overload lets callers register their own families on the same
   /// registry, so one --metrics artifact covers the whole run.
   const obs::MetricsRegistry& metrics() const { return *metrics_; }
   obs::MetricsRegistry& metrics() { return *metrics_; }
@@ -147,31 +143,9 @@ class AnalysisPipeline {
   common::ThreadPool* pool() const { return pool_.get(); }
 
  private:
-  /// Pure Stage-I output of one day: records in line order.  Counter deltas
-  /// go straight to the metrics registry (sharded per-thread cells; sums
-  /// are order-independent, so parallel parsing stays deterministic).
-  struct DayParse {
-    std::vector<XidObservation> obs;
-    std::vector<LifecycleRecord> lifecycle;
-  };
   struct PendingDay {
     common::TimePoint day_start = 0;
     logsys::DayBuffer day;
-  };
-  /// Handles into the registry, resolved once at construction.
-  struct StageMetrics {
-    obs::Counter* log_lines = nullptr;
-    obs::Counter* xid_records = nullptr;
-    obs::Counter* lifecycle_records = nullptr;
-    obs::Counter* rejected_lines = nullptr;
-    obs::Counter* unknown_hosts = nullptr;
-    obs::Counter* accounting_lines = nullptr;
-    obs::Counter* accounting_errors = nullptr;
-    obs::Counter* out_of_order = nullptr;
-    obs::Counter* errors_coalesced = nullptr;
-    obs::Histogram* day_parse_us = nullptr;
-    obs::Counter* stage3_exposures = nullptr;   ///< exposed jobs, all joins
-    obs::Histogram* stage3_join_us = nullptr;   ///< exposure-join latency
   };
   /// Per-worker-slot Stage-I totals (slot 0 in serial mode).
   struct WorkerMetrics {
@@ -179,15 +153,10 @@ class AnalysisPipeline {
     obs::Counter* lines = nullptr;
     obs::Counter* parse_time_ns = nullptr;
   };
-  /// Per-shard Stage-III exposure-join totals (shard 0 in serial mode).
-  struct Stage3ShardMetrics {
-    obs::Counter* jobs = nullptr;     ///< jobs scanned by this shard
-    obs::Counter* exposed = nullptr;  ///< of those, jobs with >= 1 error
-  };
 
-  DayParse parse_day(const LineParser& parser, std::size_t worker,
-                     common::TimePoint day_start,
-                     const logsys::DayBuffer& day) const;
+  Stage1Batch parse_day(const LineParser& parser, std::size_t worker,
+                        common::TimePoint day_start,
+                        const logsys::DayBuffer& day) const;
   std::size_t shard_of(xid::GpuId gpu) const;
   /// Parallel mode: Stage-I parse all pending days on the pool, merge the
   /// per-day batches in day order, and drain each Stage-II shard.
@@ -215,9 +184,10 @@ class AnalysisPipeline {
 
   obs::MetricsRegistry* metrics_ = nullptr;  ///< effective registry
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  StageMetrics m_;
+  PipeMetrics m_;
+  obs::Histogram* day_parse_us_ = nullptr;
   std::vector<WorkerMetrics> worker_metrics_;
-  std::vector<Stage3ShardMetrics> stage3_shard_metrics_;
+  std::unique_ptr<Stage3> stage3_;
 
   bool finished_ = false;
 };

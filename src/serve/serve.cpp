@@ -3,28 +3,17 @@
 #include <algorithm>
 #include <chrono>
 #include <thread>
-#include <variant>
 
 #include "common/hash.h"
 #include "common/io.h"
 #include "common/strings.h"
-#include "slurm/accounting.h"
-#include "xid/xid.h"
+#include "obs/trace.h"
 
 namespace gpures::serve {
 
 namespace fs = std::filesystem;
 
 namespace {
-
-// Same total order the batch pipeline sorts by: two distinct errors can
-// never tie (same (gpu, code) errors are > window apart by construction).
-bool error_before(const analysis::CoalescedError& a,
-                  const analysis::CoalescedError& b) {
-  if (a.time != b.time) return a.time < b.time;
-  if (a.gpu != b.gpu) return a.gpu < b.gpu;
-  return xid::to_number(a.code) < xid::to_number(b.code);
-}
 
 /// A listing trusts an unchanged syslog/ mtime only once that mtime is this
 /// much older than the listing's start (git's racy-clean rule): a change in
@@ -62,21 +51,13 @@ struct ServeSession::Source {
 };
 
 struct ServeSession::Metrics {
+  analysis::PipeMetrics pipe;
   obs::Counter* ticks = nullptr;
   obs::Counter* chunks = nullptr;
   obs::Counter* bytes = nullptr;
-  obs::Counter* log_lines = nullptr;
-  obs::Counter* xid_records = nullptr;
-  obs::Counter* lifecycle_records = nullptr;
-  obs::Counter* rejected_lines = nullptr;
-  obs::Counter* unknown_hosts = nullptr;
   obs::Counter* dropped_torn = nullptr;
   obs::Counter* dropped_binary = nullptr;
   obs::Counter* dropped_overlong = nullptr;
-  obs::Counter* accounting_lines = nullptr;
-  obs::Counter* accounting_errors = nullptr;
-  obs::Counter* out_of_order = nullptr;
-  obs::Counter* errors_coalesced = nullptr;
   obs::Counter* retry_attempts = nullptr;
   obs::Counter* retry_recovered = nullptr;
   obs::Counter* retry_exhausted = nullptr;
@@ -105,14 +86,10 @@ ServeSession::ServeSession(ServeConfig cfg) : cfg_(std::move(cfg)) {
   }
   m_ = std::make_unique<Metrics>();
   auto& reg = *metrics_;
+  m_->pipe = analysis::PipeMetrics::on(reg);
   m_->ticks = &reg.counter("serve.ticks");
   m_->chunks = &reg.counter("serve.chunks");
   m_->bytes = &reg.counter("serve.bytes_ingested");
-  m_->log_lines = &reg.counter("serve.log_lines");
-  m_->xid_records = &reg.counter("serve.xid_records");
-  m_->lifecycle_records = &reg.counter("serve.lifecycle_records");
-  m_->rejected_lines = &reg.counter("serve.rejected_lines");
-  m_->unknown_hosts = &reg.counter("serve.unknown_hosts");
   reg.describe("ingest.lines_dropped",
                "Raw log lines quarantined by the ingest screen, by reason",
                "lines");
@@ -121,10 +98,6 @@ ServeSession::ServeSession(ServeConfig cfg) : cfg_(std::move(cfg)) {
       &reg.counter("ingest.lines_dropped", {{"reason", "binary"}});
   m_->dropped_overlong =
       &reg.counter("ingest.lines_dropped", {{"reason", "overlong"}});
-  m_->accounting_lines = &reg.counter("serve.accounting_lines");
-  m_->accounting_errors = &reg.counter("serve.accounting_errors");
-  m_->out_of_order = &reg.counter("serve.out_of_order_observations");
-  m_->errors_coalesced = &reg.counter("serve.errors_coalesced");
   m_->retry_attempts = &reg.counter("serve.retry.attempts");
   m_->retry_recovered = &reg.counter("serve.retry.recovered");
   m_->retry_exhausted = &reg.counter("serve.retry.exhausted");
@@ -154,7 +127,7 @@ ServeSession::ServeSession(ServeConfig cfg) : cfg_(std::move(cfg)) {
   coalescer_ = std::make_unique<analysis::Coalescer>(
       cfg_.coalescer, [this](const analysis::CoalescedError& e) {
         emitted_.errors.push_back(e);
-        m_->errors_coalesced->inc();
+        m_->pipe.errors_coalesced->inc();
       });
 }
 
@@ -188,11 +161,22 @@ std::uint64_t ServeSession::degraded_count() const {
 }
 
 common::Status ServeSession::open(bool resume) {
+  OBS_SPAN("serve.open");
   common::check(!opened_, "ServeSession: open() called twice");
   const auto manifest = analysis::read_manifest(cfg_.data_dir);
   if (!manifest.ok()) return manifest.error();
   periods_ = manifest.value().periods;
   topo_ = std::make_unique<cluster::Topology>(manifest.value().spec);
+  analysis::Stage3Config s3;
+  s3.periods = periods_;
+  s3.outlier_share = cfg_.outlier_share;
+  s3.outlier_min = cfg_.outlier_min;
+  s3.attribution_window = cfg_.attribution_window;
+  s3.attribution = cfg_.attribution;
+  stage3_ = std::make_unique<analysis::Stage3>(
+      *topo_, std::move(s3),
+      analysis::RunRows{emitted_.errors, emitted_.lifecycle, emitted_.jobs},
+      *metrics_, pool_.get());
 
   syslog_dir_ = cfg_.data_dir / "syslog";
   acct_path_ = (cfg_.data_dir / "slurm_accounting.txt").string();
@@ -395,10 +379,14 @@ common::Result<std::string> ServeSession::read_with_retry(
   }
 }
 
-void ServeSession::advance_frontier() {
+void ServeSession::advance_frontier(bool stamp) {
+  const std::size_t before = frontier_;
   while (frontier_ < sources_.size() &&
          (sources_[frontier_].sealed || sources_[frontier_].degraded)) {
     ++frontier_;
+  }
+  if (stamp && frontier_ != before && frontier_ < sources_.size()) {
+    sources_[frontier_].last_progress_tick = tick_;
   }
 }
 
@@ -544,67 +532,20 @@ common::Status ServeSession::consume_day_text(Source& src, std::string&& text,
   // contiguous range per worker and merges range-ordered — the observation
   // sequence is the line sequence either way, so results are byte-identical
   // at any thread count.
-  struct Parsed {
-    std::vector<analysis::XidObservation> obs;
-    std::vector<analysis::LifecycleRecord> lifecycle;
-  };
-  const auto parse_range = [&](const analysis::LineParser& parser,
-                               std::size_t lo, std::size_t hi, Parsed& out) {
-    std::uint64_t lines = 0, rejected = 0, unknown = 0, xids = 0, lifes = 0;
-    for (std::size_t i = lo; i < hi; ++i) {
-      ++lines;
-      auto parsed = parser.parse(day.line(i), src.date);
-      if (!parsed) {
-        ++rejected;
-        continue;
-      }
-      if (auto* xrec = std::get_if<analysis::XidRecord>(&*parsed)) {
-        const auto node = topo_->node_index(xrec->host);
-        if (!node) {
-          ++unknown;
-          continue;
-        }
-        const auto slot = topo_->slot_for_pci(*node, xrec->pci);
-        if (!slot) {
-          ++unknown;
-          continue;
-        }
-        ++xids;
-        analysis::XidObservation obs;
-        obs.time = xrec->time;
-        obs.gpu = {*node, *slot};
-        obs.xid = xrec->xid;
-        out.obs.push_back(obs);
-      } else if (auto* lrec =
-                     std::get_if<analysis::LifecycleRecord>(&*parsed)) {
-        if (!topo_->node_index(lrec->host)) {
-          ++unknown;
-          continue;
-        }
-        ++lifes;
-        out.lifecycle.push_back(std::move(*lrec));
-      }
-    }
-    m_->log_lines->add(lines);
-    m_->rejected_lines->add(rejected);
-    m_->unknown_hosts->add(unknown);
-    m_->xid_records->add(xids);
-    m_->lifecycle_records->add(lifes);
-  };
-
   const std::size_t n = day.size();
-  std::vector<Parsed> parts;
+  std::vector<analysis::Stage1Batch> parts;
   if (pool_ != nullptr && n >= 2 * pool_->size()) {
     const std::size_t workers = pool_->size();
     parts.resize(workers);
     pool_->parallel_for(workers, [&](std::size_t i, std::size_t w) {
-      const std::size_t lo = i * n / workers;
-      const std::size_t hi = (i + 1) * n / workers;
-      parse_range(*parsers_[w % parsers_.size()], lo, hi, parts[i]);
+      analysis::parse_lines(*parsers_[w % parsers_.size()], *topo_, src.date,
+                            day, i * n / workers, (i + 1) * n / workers,
+                            m_->pipe, parts[i]);
     });
   } else {
     parts.resize(1);
-    parse_range(*parsers_[0], 0, n, parts[0]);
+    analysis::parse_lines(*parsers_[0], *topo_, src.date, day, 0, n, m_->pipe,
+                          parts[0]);
   }
   for (auto& part : parts) {
     for (auto& l : part.lifecycle) emitted_.lifecycle.push_back(std::move(l));
@@ -621,7 +562,7 @@ common::Status ServeSession::pump_accounting(bool drain) {
   if (acct_.degraded) return {};
   std::error_code ec;
   if (!fs::exists(acct_path_, ec)) {
-    // Absent is a coverage gap, not an error — same as the batch loader.
+    // Absent is a coverage gap, not an error, under either policy.
     acct_at_eof_ = true;
     return {};
   }
@@ -655,7 +596,7 @@ common::Status ServeSession::pump_accounting(bool drain) {
   if (nl == std::string::npos) {
     acct_at_eof_ = at_end;
     if (drain && at_end) {
-      // Final unterminated row: the batch loader processes it too.
+      // Final unterminated row: processed like any other.
       return consume_accounting_text(std::move(chunk));
     }
     return {};
@@ -688,30 +629,29 @@ common::Status ServeSession::consume_accounting_text(std::string&& text) {
 common::Status ServeSession::accounting_line(std::string_view line,
                                              std::uint64_t line_no,
                                              std::uint64_t byte_start) {
-  const auto trimmed = common::trim(line);
-  if (trimmed.empty()) return {};
-  m_->accounting_lines->inc();
-  if (trimmed == slurm::accounting_header()) return {};
-  auto rec = slurm::parse_accounting_line(trimmed, *topo_);
-  if (!rec.ok()) {
-    m_->accounting_errors->inc();
-    if (cfg_.policy == analysis::IngestPolicy::kStrict) {
-      return common::Error::at("dataset: malformed accounting row",
-                               acct_path_, line_no, byte_start);
-    }
-    acct_.rows_rejected += 1;
-    acct_.bytes_rejected += trimmed.size();
-    if (cfg_.error_budget > 0 && acct_.rows_rejected > cfg_.error_budget) {
-      return common::Error::make(
-          "dataset: accounting error budget exceeded: " +
-          std::to_string(acct_.rows_rejected) + " rejected rows in " +
-          acct_path_ +
-          " (budget " + std::to_string(cfg_.error_budget) + ")");
-    }
-    return {};
+  switch (analysis::add_accounting_line(line, *topo_, emitted_.jobs,
+                                        m_->pipe)) {
+    case analysis::AccountingLine::kBlank:
+    case analysis::AccountingLine::kHeader:
+      return {};
+    case analysis::AccountingLine::kJob:
+      acct_.rows_kept += 1;
+      return {};
+    case analysis::AccountingLine::kMalformed:
+      break;
   }
-  emitted_.jobs.add(rec.value());
-  acct_.rows_kept += 1;
+  if (cfg_.policy == analysis::IngestPolicy::kStrict) {
+    return common::Error::at("dataset: malformed accounting row", acct_path_,
+                             line_no, byte_start);
+  }
+  acct_.rows_rejected += 1;
+  acct_.bytes_rejected += common::trim(line).size();
+  if (cfg_.error_budget > 0 && acct_.rows_rejected > cfg_.error_budget) {
+    return common::Error::make(
+        "dataset: accounting error budget exceeded: " +
+        std::to_string(acct_.rows_rejected) + " rejected rows in " +
+        acct_path_ + " (budget " + std::to_string(cfg_.error_budget) + ")");
+  }
   return {};
 }
 
@@ -755,6 +695,7 @@ void ServeSession::watchdog_and_gauges() {
 }
 
 common::Status ServeSession::tick() {
+  OBS_SPAN("serve.tick");
   common::check(opened_, "ServeSession: tick() before open()");
   common::check(!finished_, "ServeSession: tick() after finalize()");
   ++tick_;
@@ -799,6 +740,7 @@ common::Status ServeSession::maybe_checkpoint() {
 
 common::Status ServeSession::checkpoint_now() {
   if (store_ == nullptr) return {};
+  OBS_SPAN("serve.checkpoint");
   // finalize() sorts the emitted rows, so they are no longer append-only.
   common::check(!finished_, "ServeSession: checkpoint_now() after finalize()");
   if (cfg_.chaos_point) cfg_.chaos_point("ckpt-pre");
@@ -841,20 +783,20 @@ CheckpointManifest ServeSession::snapshot() const {
   m.watermark = watermark_;
   m.sources.reserve(sources_.size());
   for (const auto& src : sources_) {
-    SourceSnapshot s;
-    s.name = src.name;
-    s.date = src.date;
-    s.offset = src.offset;
-    s.lines_seen = src.lines_seen;
-    s.existed = src.existed;
-    s.sealed = src.sealed;
-    s.degraded = src.degraded;
-    s.recovered = src.recovered;
-    s.degrade_reason = src.degrade_reason;
-    s.last_progress_tick = src.last_progress_tick;
-    s.last_event = src.last_event;
-    s.counts = src.counts;
-    m.sources.push_back(std::move(s));
+    m.sources.push_back(SourceSnapshot{
+        .name = src.name,
+        .date = src.date,
+        .offset = src.offset,
+        .lines_seen = src.lines_seen,
+        .existed = src.existed,
+        .sealed = src.sealed,
+        .degraded = src.degraded,
+        .recovered = src.recovered,
+        .degrade_reason = src.degrade_reason,
+        .last_progress_tick = src.last_progress_tick,
+        .last_event = src.last_event,
+        .counts = src.counts,
+    });
   }
   m.accounting = acct_;
   m.stray_files = strays_;
@@ -893,7 +835,7 @@ void ServeSession::restore(Checkpoint&& ckpt) {
     sources_.push_back(std::move(src));
   }
   frontier_ = 0;
-  advance_frontier();
+  advance_frontier(false);  // the checkpoint holds each source's stall clock
   acct_ = std::move(data.accounting);
   strays_ = std::move(data.stray_files);
   coalescer_->restore(data.coalescer);
@@ -903,7 +845,22 @@ void ServeSession::restore(Checkpoint&& ckpt) {
   dirty_ = false;
 }
 
+common::Status ServeSession::drain(obs::ProgressReporter* progress) {
+  while (!idle_) {
+    auto st = tick();
+    if (!st.ok()) return st;
+    if (progress != nullptr) progress->update(n_settled_, sources_.size());
+  }
+  auto st = checkpoint_now();
+  if (st.ok()) st = finalize();
+  if (st.ok() && progress != nullptr) {
+    progress->update(n_settled_, sources_.size());
+  }
+  return st;
+}
+
 common::Status ServeSession::finalize() {
+  OBS_SPAN("serve.finalize");
   common::check(opened_, "ServeSession: finalize() before open()");
   if (finished_) return {};
   // Drain the remaining day bytes in date order (torn EOF fragments are
@@ -936,13 +893,8 @@ common::Status ServeSession::finalize() {
   }
 #endif
   coalescer_->flush();
-  m_->out_of_order->add(coalescer_->out_of_order());
-  std::sort(emitted_.errors.begin(), emitted_.errors.end(), error_before);
-  std::stable_sort(emitted_.lifecycle.begin(), emitted_.lifecycle.end(),
-                   [](const analysis::LifecycleRecord& a,
-                      const analysis::LifecycleRecord& b) {
-                     return a.time < b.time;
-                   });
+  m_->pipe.out_of_order->add(coalescer_->out_of_order());
+  analysis::sort_rows(emitted_.errors, emitted_.lifecycle);
   derive_quality();
   watchdog_and_gauges();
   finished_ = true;
@@ -954,7 +906,7 @@ void ServeSession::derive_quality() {
   q = analysis::DataQualityReport{};
   q.policy = cfg_.policy;
   q.error_budget = cfg_.error_budget;
-  // Coverage over the manifest period, exactly like the batch loader.
+  // Coverage over the manifest period.
   const common::TimePoint begin = periods_.pre.begin;
   const common::TimePoint end = periods_.op.end;
   if (end > begin) {
@@ -1025,36 +977,13 @@ void ServeSession::derive_quality() {
   q.accounting_bytes_rejected = acct_.bytes_rejected;
 }
 
-analysis::ErrorStats ServeSession::error_stats() const {
-  analysis::ErrorStatsConfig cfg;
-  cfg.node_count = topo_->node_count();
-  cfg.outlier_share = cfg_.outlier_share;
-  cfg.outlier_min = cfg_.outlier_min;
-  return analysis::compute_error_stats(emitted_.errors, periods_, cfg);
+const analysis::Stage3& ServeSession::stage3() const {
+  common::check(stage3_ != nullptr, "ServeSession: stage3() before open()");
+  return *stage3_;
 }
 
-analysis::JobStats ServeSession::job_stats() const {
-  return analysis::compute_job_stats(emitted_.jobs, periods_.whole());
-}
-
-analysis::JobImpact ServeSession::job_impact() const {
-  analysis::JobImpactConfig cfg;
-  cfg.window = cfg_.attribution_window;
-  cfg.period = periods_.op;
-  cfg.attribution = cfg_.attribution;
-  return analysis::compute_job_impact(emitted_.jobs, emitted_.errors, cfg,
-                                      pool_.get(), nullptr);
-}
-
-analysis::AvailabilityStats ServeSession::availability() const {
-  analysis::AvailabilityConfig cfg;
-  cfg.period = periods_.op;
-  cfg.node_count = topo_->node_count();
-  return analysis::compute_availability(emitted_.lifecycle, cfg, pool_.get());
-}
-
-double ServeSession::mttf_estimate_h() const {
-  return error_stats().total.op.mtbe_per_node_h;
+analysis::PipeCounts ServeSession::counters() const {
+  return m_->pipe.counts();
 }
 
 }  // namespace gpures::serve

@@ -30,6 +30,12 @@
 // says an entry may have been created, renamed or removed (appends to a
 // day file leave it alone), and sealed/degraded tallies are kept as
 // counts rather than recounted over every day.
+//
+// This is the only way a dataset directory is read: gpures-analyze drains
+// a session without a checkpoint directory (drain()), gpures-serve ticks
+// one for as long as it runs.  Stage I/II counters, the final sort and
+// Stage III are the ones the in-memory AnalysisPipeline uses
+// (analysis/stages.h).
 #pragma once
 
 #include <cstdint>
@@ -40,20 +46,17 @@
 #include <string>
 #include <vector>
 
-#include "analysis/availability.h"
 #include "analysis/coalesce.h"
 #include "analysis/data_quality.h"
 #include "analysis/dataset.h"
-#include "analysis/error_stats.h"
 #include "analysis/extraction.h"
-#include "analysis/job_impact.h"
-#include "analysis/job_stats.h"
-#include "analysis/periods.h"
+#include "analysis/stages.h"
 #include "cluster/topology.h"
 #include "common/error.h"
 #include "common/thread_pool.h"
 #include "logsys/day_buffer.h"
 #include "obs/metrics.h"
+#include "obs/progress.h"
 #include "serve/checkpoint.h"
 
 namespace gpures::serve {
@@ -140,6 +143,11 @@ class ServeSession {
   /// No-op without a checkpoint directory.
   common::Status checkpoint_now();
 
+  /// The --once loop: tick() until idle(), checkpoint_now(), finalize().
+  /// `progress`, when given, sees (day files settled, day files known)
+  /// after every tick.
+  common::Status drain(obs::ProgressReporter* progress = nullptr);
+
   // ---- results (valid after finalize()) ----
   const std::vector<analysis::CoalescedError>& errors() const {
     return emitted_.errors;
@@ -150,11 +158,17 @@ class ServeSession {
   const analysis::JobTable& jobs() const { return emitted_.jobs; }
   const analysis::DataQualityReport& quality() const { return quality_; }
 
-  analysis::ErrorStats error_stats() const;
-  analysis::JobStats job_stats() const;
-  analysis::JobImpact job_impact() const;
-  analysis::AvailabilityStats availability() const;
-  double mttf_estimate_h() const;
+  analysis::ErrorStats error_stats() const { return stage3().error_stats(); }
+  analysis::JobStats job_stats() const { return stage3().job_stats(); }
+  analysis::JobImpact job_impact() const { return stage3().job_impact(); }
+  analysis::AvailabilityStats availability() const {
+    return stage3().availability();
+  }
+  double mttf_estimate_h() const { return stage3().mttf_estimate_h(); }
+  /// Stage III over the session's rows (valid after open()).
+  const analysis::Stage3& stage3() const;
+  /// Snapshot of the pipe.* Stage-I/II counters.
+  analysis::PipeCounts counters() const;
 
   // ---- introspection ----
   const cluster::Topology& topo() const { return *topo_; }
@@ -200,7 +214,10 @@ class ServeSession {
   common::Status accounting_line(std::string_view line, std::uint64_t line_no,
                                  std::uint64_t byte_start);
   void seal(Source& src);
-  void advance_frontier();
+  /// Move the frontier past sealed and degraded sources.  A source's stall
+  /// clock starts when it becomes the frontier (`stamp`), not when it was
+  /// discovered: a day waiting its turn behind earlier days is not stalled.
+  void advance_frontier(bool stamp = true);
   void watchdog_and_gauges();
   common::Status maybe_checkpoint();
   CheckpointManifest snapshot() const;
@@ -213,6 +230,7 @@ class ServeSession {
   std::unique_ptr<common::ThreadPool> pool_;
   std::vector<std::unique_ptr<analysis::LineParser>> parsers_;
   std::unique_ptr<analysis::Coalescer> coalescer_;
+  std::unique_ptr<analysis::Stage3> stage3_;  ///< built by open()
   std::unique_ptr<CheckpointStore> store_;
 
   std::vector<Source> sources_;  ///< date order
@@ -228,7 +246,6 @@ class ServeSession {
   std::filesystem::file_time_type listed_mtime_;
   std::filesystem::file_time_type listed_at_;
   AccountingSnapshot acct_;
-  std::string acct_fragment_pending_;  ///< unterminated tail seen at EOF
   bool acct_at_eof_ = false;
   std::vector<std::string> strays_;  ///< sorted, deduplicated
 

@@ -1,5 +1,6 @@
 // Chaos-hardened ingestion: the deterministic corrupter and the hardened
-// loader, reconciled against each other.  Every fault the corrupter can
+// ingest (a drained ServeSession, as in gpures-analyze), reconciled against
+// each other.  Every fault the corrupter can
 // inject must produce either a structured strict-mode error or a completed
 // lenient run whose DataQualityReport matches the corruption ledger
 // *exactly* — the two sides account for the same bytes independently.
@@ -14,13 +15,16 @@
 #include "chaos/chaos.h"
 #include "cluster/topology.h"
 #include "common/io.h"
+#include "ingest_helpers.h"
 #include "logsys/syslog.h"
+#include "serve/serve.h"
 #include "slurm/accounting.h"
 
 namespace an = gpures::analysis;
 namespace ch = gpures::chaos;
 namespace cl = gpures::cluster;
 namespace ct = gpures::common;
+namespace gt = gpures::testing;
 namespace gx = gpures::xid;
 namespace ls = gpures::logsys;
 namespace sl = gpures::slurm;
@@ -94,27 +98,18 @@ struct LoadOutcome {
 LoadOutcome load(const fs::path& dir, an::IngestPolicy policy,
                  std::uint64_t budget = 0, std::uint32_t threads = 0) {
   LoadOutcome out;
-  const auto m = an::read_manifest(dir);
-  EXPECT_TRUE(m.ok()) << (m.ok() ? "" : m.error().message);
-  const cl::Topology topo(m.value().spec);
-  an::PipelineConfig pcfg;
-  pcfg.periods = m.value().periods;
-  pcfg.num_threads = threads;
-  an::AnalysisPipeline pipe(topo, pcfg);
-  an::IngestOptions opt;
-  opt.policy = policy;
-  opt.error_budget = budget;
-  opt.expect_begin = m.value().periods.pre.begin;
-  opt.expect_end = m.value().periods.op.end;
-  opt.quality = &out.quality;
-  const auto loaded = an::load_dataset(dir, pipe, opt);
-  out.ok = loaded.ok();
-  if (loaded.ok()) {
-    out.days = loaded.value();
-    out.errors = pipe.errors();
-    out.jobs = pipe.jobs().jobs.size();
+  gpures::serve::ServeSession s(
+      gt::analyze_config(dir, policy, threads, budget));
+  auto st = s.open(false);
+  if (st.ok()) st = s.drain();
+  out.ok = st.ok();
+  if (st.ok()) {
+    out.quality = s.quality();
+    out.days = out.quality.days_present;
+    out.errors = s.errors();
+    out.jobs = s.jobs().jobs.size();
   } else {
-    out.error = loaded.error();
+    out.error = st.error();
   }
   return out;
 }
@@ -232,7 +227,7 @@ TEST(Chaos, CleanInputIsPolicyAndThreadInvariant) {
       EXPECT_EQ(r.jobs, strict.jobs);
     }
   }
-  // The pre-hardening convenience overload still works and agrees.
+  // The in-memory pipeline fed the same files agrees.
   {
     const auto m = an::read_manifest(dir);
     ASSERT_TRUE(m.ok());
@@ -240,9 +235,9 @@ TEST(Chaos, CleanInputIsPolicyAndThreadInvariant) {
     an::PipelineConfig pcfg;
     pcfg.periods = m.value().periods;
     an::AnalysisPipeline pipe(topo, pcfg);
-    const auto loaded = an::load_dataset(dir, pipe);
-    ASSERT_TRUE(loaded.ok());
+    gt::feed_pipeline(dir, pipe);
     EXPECT_EQ(pipe.errors().size(), strict.errors.size());
+    EXPECT_EQ(pipe.jobs().jobs.size(), strict.jobs);
   }
   fs::remove_all(dir);
 }
@@ -259,9 +254,7 @@ TEST(Chaos, TruncateStrictFailsWithLocationLenientReconciles) {
   EXPECT_NE(strict.error.message.find("torn"), std::string::npos);
   EXPECT_NE(strict.error.file.find("syslog-"), std::string::npos);
   EXPECT_GT(strict.error.line, 0u);
-  // The parallel prefetch path must fail identically — and must drain its
-  // in-flight reads before unwinding (ASan catches the use-after-free this
-  // regression guards against).
+  // The parallel chunk parse must fail at the same place.
   const auto strict_mt = load(dst, an::IngestPolicy::kStrict, 0, 4);
   ASSERT_FALSE(strict_mt.ok);
   EXPECT_EQ(strict_mt.error.message, strict.error.message);
@@ -462,7 +455,7 @@ TEST(Chaos, IoFaultStrictFailsLenientSkipsTheDay) {
 
   ASSERT_FALSE(strict.ok);
   EXPECT_NE(strict.error.message.find("injected I/O fault"), std::string::npos);
-  // Parallel strict takes the same abort with reads still in the window.
+  // Parallel strict takes the same abort.
   ASSERT_FALSE(strict_mt.ok);
   EXPECT_EQ(strict_mt.error.message, strict.error.message);
   ASSERT_TRUE(lenient.ok) << lenient.error.message;
@@ -470,45 +463,12 @@ TEST(Chaos, IoFaultStrictFailsLenientSkipsTheDay) {
   EXPECT_EQ(lenient.quality.skipped_days[0].date,
             ledger.io_fault_path.substr(7, 10));
   EXPECT_EQ(lenient.days, 4u);
-  // The parallel prefetch path takes the same skip decision.
+  // The parallel chunk parse takes the same skip decision.
   ASSERT_TRUE(parallel.ok) << parallel.error.message;
   EXPECT_EQ(parallel.quality.skipped_days.size(), 1u);
   EXPECT_EQ(parallel.days, 4u);
   fs::remove_all(src);
   fs::remove_all(dst);
-}
-
-TEST(Chaos, StrictAbortDrainsInFlightPrefetchReads) {
-  // Regression: an early strict abort used to unwind load_dataset while the
-  // prefetch window still had read tasks writing into function-local state
-  // (packaged_task futures do not block on destruction) — a use-after-free
-  // ASan catches here.  Day 0 is torn so strict fails immediately; the later
-  // days are multi-megabyte so their reads are genuinely still in flight at
-  // abort time instead of winning the race by finishing first.
-  const auto dir = make_clean_dataset("drain", 6);
-  {
-    const auto day0 =
-        dir / "syslog" / ("syslog-" + ct::format_date(kDay0) + ".log");
-    auto text = read_all(day0);
-    ASSERT_EQ(text.back(), '\n');
-    text.pop_back();  // torn final line
-    std::ofstream os(day0, std::ios::trunc | std::ios::binary);
-    os.write(text.data(), static_cast<std::streamsize>(text.size()));
-    ASSERT_TRUE(os.good());
-  }
-  const std::string filler(4096, 'a');
-  for (int d = 1; d < 6; ++d) {
-    const auto path =
-        dir / "syslog" /
-        ("syslog-" + ct::format_date(kDay0 + d * ct::kDay) + ".log");
-    std::ofstream os(path, std::ios::app | std::ios::binary);
-    for (int i = 0; i < 1024; ++i) os << filler << '\n';  // ~4 MiB per day
-    ASSERT_TRUE(os.good());
-  }
-  const auto strict = load(dir, an::IngestPolicy::kStrict, 0, 4);
-  ASSERT_FALSE(strict.ok);
-  EXPECT_NE(strict.error.message.find("torn"), std::string::npos);
-  fs::remove_all(dir);
 }
 
 // ---- error budget ----
@@ -521,8 +481,7 @@ TEST(Chaos, LenientErrorBudgetAborts) {
   ASSERT_FALSE(blown.ok);
   EXPECT_NE(blown.error.message.find("error budget exceeded"),
             std::string::npos);
-  // Budget aborts mid-run in the prefetching path too, without leaving
-  // in-flight reads scribbling on freed state.
+  // Budget aborts mid-run in the parallel chunk parse too.
   const auto blown_mt = load(dst, an::IngestPolicy::kLenient, 5, 4);
   ASSERT_FALSE(blown_mt.ok);
   EXPECT_EQ(blown_mt.error.message, blown.error.message);

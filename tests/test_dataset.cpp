@@ -1,5 +1,5 @@
 // On-disk dataset round trip: write with DatasetWriter / campaign tee, read
-// back with load_dataset, compare pipeline results.
+// back through a ServeSession, compare pipeline results.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -11,11 +11,13 @@
 
 #include "analysis/campaign.h"
 #include "analysis/dataset.h"
+#include "serve/serve.h"
 
 namespace an = gpures::analysis;
 namespace cl = gpures::cluster;
 namespace ct = gpures::common;
 namespace ls = gpures::logsys;
+namespace sv = gpures::serve;
 namespace fs = std::filesystem;
 
 namespace {
@@ -136,16 +138,16 @@ TEST(Dataset, StrayFilesAreSkippedWithWarningNotIngested) {
   std::ofstream(dir / "syslog" / "notes.txt") << "\x01 binary junk\n";
   fs::create_directories(dir / "syslog" / "subdir");
 
-  cl::Topology topo(cl::ClusterSpec::small(1, 0));
-  an::AnalysisPipeline pipe(topo, {});
-  an::DataQualityReport quality;
-  an::IngestOptions opt;
-  opt.quality = &quality;
+  sv::ServeConfig cfg;
+  cfg.data_dir = dir;
   std::vector<std::string> warnings;
-  opt.warn = [&warnings](const std::string& m) { warnings.push_back(m); };
-  const auto loaded = an::load_dataset(dir, pipe, opt);
-  ASSERT_TRUE(loaded.ok()) << loaded.error().message;
-  EXPECT_EQ(loaded.value(), 1u);  // only the real day file
+  cfg.warn = [&warnings](const std::string& m) { warnings.push_back(m); };
+  sv::ServeSession session(std::move(cfg));
+  auto st = session.open(false);
+  if (st.ok()) st = session.drain();
+  ASSERT_TRUE(st.ok()) << st.error().message;
+  const auto& quality = session.quality();
+  EXPECT_EQ(quality.days_present, 1u);  // only the real day file
   ASSERT_EQ(quality.stray_files.size(), 3u);  // sorted by name
   EXPECT_EQ(quality.stray_files[0], "notes.txt");
   EXPECT_EQ(quality.stray_files[1], "subdir");
@@ -251,9 +253,18 @@ TEST(Dataset, LoadRejectsMissingPieces) {
   const auto dir = temp_dir("missing");
   fs::create_directories(dir);
   EXPECT_FALSE(an::read_manifest(dir).ok());
-  cl::Topology topo(cl::ClusterSpec::small(1, 0));
-  an::AnalysisPipeline pipe(topo, {});
-  EXPECT_FALSE(an::load_dataset(dir, pipe).ok());  // no syslog/
+  {
+    sv::ServeConfig cfg;
+    cfg.data_dir = dir;
+    sv::ServeSession session(std::move(cfg));
+    EXPECT_FALSE(session.open(false).ok());  // no manifest
+  }
+  ASSERT_TRUE(an::DatasetWriter(dir, tiny_manifest()).finalize().ok());
+  fs::remove_all(dir / "syslog");
+  sv::ServeConfig cfg;
+  cfg.data_dir = dir;
+  sv::ServeSession session(std::move(cfg));
+  EXPECT_FALSE(session.open(false).ok());  // no syslog/
   fs::remove_all(dir);
 }
 
@@ -276,15 +287,14 @@ TEST(Dataset, CampaignTeeRoundTrip) {
   campaign.run();
   writer.finalize();
 
-  const auto m = an::read_manifest(dir);
-  ASSERT_TRUE(m.ok()) << m.error().message;
-  cl::Topology topo(m.value().spec);
-  an::PipelineConfig pcfg;
-  pcfg.periods = m.value().periods;
-  an::AnalysisPipeline pipe(topo, pcfg);
-  const auto loaded = an::load_dataset(dir, pipe);
-  ASSERT_TRUE(loaded.ok()) << loaded.error().message;
-  EXPECT_GT(loaded.value(), 80u);  // ~90 day files
+  sv::ServeConfig scfg;
+  scfg.data_dir = dir;
+  scfg.policy = an::IngestPolicy::kStrict;
+  sv::ServeSession pipe(std::move(scfg));
+  auto st = pipe.open(false);
+  if (st.ok()) st = pipe.drain();
+  ASSERT_TRUE(st.ok()) << st.error().message;
+  EXPECT_GT(pipe.quality().days_present, 80u);  // ~90 day files
 
   // Disk round trip reproduces the in-memory pipeline exactly.
   const auto& mem = campaign.pipeline();

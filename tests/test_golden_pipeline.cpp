@@ -32,9 +32,12 @@
 #include "analysis/export.h"
 #include "analysis/reports.h"
 #include "common/io.h"
+#include "ingest_helpers.h"
+#include "serve/serve.h"
 
 namespace an = gpures::analysis;
 namespace fs = std::filesystem;
+namespace gt = gpures::testing;
 
 namespace {
 
@@ -87,8 +90,9 @@ class GoldenPipeline : public ::testing::Test {
     fs::remove_all(dataset_dir_);
   }
 
-  static std::string artifact(const an::AnalysisPipeline& pipe,
-                              const std::string& name) {
+  /// `S` is AnalysisPipeline or ServeSession.
+  template <typename S>
+  static std::string artifact(const S& pipe, const std::string& name) {
     const auto stats = pipe.error_stats();
     if (name == "table1.csv") return render_csv(an::write_table1_csv, stats);
     std::ostringstream os;
@@ -162,23 +166,28 @@ TEST_F(GoldenPipeline, ExportedArtifactsMatchSnapshots) {
 }
 
 TEST_F(GoldenPipeline, ParallelDatasetReplayReproducesGoldenBytes) {
-  // Read the teed dataset back through parallel pipelines (3 and 8 workers;
-  // the latter shards Stage III wider than this machine has cores); every
-  // artifact must be byte-identical to the in-memory serial campaign's.
-  const auto manifest = an::read_manifest(dataset_dir_);
-  ASSERT_TRUE(manifest.ok()) << manifest.error().message;
-  gpures::cluster::Topology topo(manifest.value().spec);
+  // Read the teed dataset back the way gpures-analyze does, through
+  // sessions at 3 and 8 workers (the latter shards Stage III wider than
+  // this machine has cores); every artifact must be byte-identical to the
+  // in-memory serial campaign's.
+  const auto& pcfg = campaign_->config().pipeline;
   for (const std::uint32_t threads : {3u, 8u}) {
-    an::PipelineConfig pcfg = campaign_->config().pipeline;
-    pcfg.periods = manifest.value().periods;
-    pcfg.num_threads = threads;
-    an::AnalysisPipeline pipe(topo, pcfg);
-    const auto loaded = an::load_dataset(dataset_dir_, pipe);
-    ASSERT_TRUE(loaded.ok()) << loaded.error().message;
-    ASSERT_GT(loaded.value(), 0u);
+    auto cfg =
+        gt::analyze_config(dataset_dir_, an::IngestPolicy::kStrict, threads);
+    cfg.coalescer = pcfg.coalescer;
+    cfg.attribution_window = pcfg.attribution_window;
+    cfg.attribution = pcfg.attribution;
+    cfg.outlier_share = pcfg.outlier_share;
+    cfg.outlier_min = pcfg.outlier_min;
+    gpures::serve::ServeSession session(std::move(cfg));
+    auto st = session.open(false);
+    if (st.ok()) st = session.drain();
+    ASSERT_TRUE(st.ok()) << st.error().message;
+    ASSERT_GT(session.quality().days_present, 0u);
 
     for (const char* name : kArtifacts) {
-      EXPECT_EQ(artifact(campaign_->pipeline(), name), artifact(pipe, name))
+      EXPECT_EQ(artifact(campaign_->pipeline(), name),
+                artifact(session, name))
           << name << " differs between serial in-memory and " << threads
           << "-worker replay";
     }

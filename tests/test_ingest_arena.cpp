@@ -26,6 +26,7 @@
 #include "logsys/day_buffer.h"
 #include "logsys/log_store.h"
 #include "logsys/syslog.h"
+#include "serve/serve.h"
 
 namespace an = gpures::analysis;
 namespace cl = gpures::cluster;
@@ -171,8 +172,9 @@ an::DatasetManifest small_manifest(const cl::ClusterSpec& spec) {
   return m;
 }
 
-void expect_same_results(const an::AnalysisPipeline& a,
-                         const an::AnalysisPipeline& b,
+/// `B` is AnalysisPipeline or ServeSession.
+template <typename B>
+void expect_same_results(const an::AnalysisPipeline& a, const B& b,
                          const std::string& what) {
   ASSERT_EQ(a.errors().size(), b.errors().size()) << what;
   for (std::size_t i = 0; i < a.errors().size(); ++i) {
@@ -265,9 +267,10 @@ TEST(ArenaRoundTrip, EqualTimestampsKeepEmissionOrderOnDisk) {
 
 TEST(ArenaRoundTrip, DiskReplayMatchesPerLineIngestionAtEveryWorkerCount) {
   // Full differential: three emitted days are teed to disk via the arena
-  // writer, then loaded back (prefetched reads + from_text arenas) through
-  // pipelines at 0/2/4/8 workers.  Every replay must reproduce the serial
-  // per-line ingestion (ingest_log_day over RawLine spans) exactly.
+  // writer, then read back the way gpures-analyze does (a drained
+  // ServeSession: chunked reads + from_text arenas) at 0/2/4/8 workers.
+  // Every replay must reproduce the serial per-line ingestion
+  // (ingest_log_day over RawLine spans) exactly.
   const auto spec = cl::ClusterSpec::small(6, 3);
   const cl::Topology topo(spec);
   const auto day0 = ct::make_date(2023, 6, 10);
@@ -302,13 +305,16 @@ TEST(ArenaRoundTrip, DiskReplayMatchesPerLineIngestionAtEveryWorkerCount) {
   ASSERT_GT(reference.lifecycle().size(), 0u);
 
   for (const std::uint32_t threads : {0u, 2u, 4u, 8u}) {
-    an::PipelineConfig cfg = base;
-    cfg.num_threads = threads;
-    an::AnalysisPipeline pipe(topo, cfg);
-    const auto loaded = an::load_dataset(dir, pipe);
-    ASSERT_TRUE(loaded.ok()) << loaded.error().message;
-    EXPECT_EQ(loaded.value(), 3u);
-    expect_same_results(reference, pipe,
+    gpures::serve::ServeConfig cfg;
+    cfg.data_dir = dir;
+    cfg.policy = an::IngestPolicy::kStrict;
+    cfg.threads = threads;
+    gpures::serve::ServeSession session(std::move(cfg));
+    auto st = session.open(false);
+    if (st.ok()) st = session.drain();
+    ASSERT_TRUE(st.ok()) << st.error().message;
+    EXPECT_EQ(session.quality().days_present, 3u);
+    expect_same_results(reference, session,
                         "replay threads=" + std::to_string(threads));
   }
   fs::remove_all(dir);

@@ -57,7 +57,8 @@ struct Fixture {
 
 TEST(MarkdownReport, AllSectionsPresent) {
   Fixture f;
-  const auto md = an::render_markdown_report(f.pipe, f.topo);
+  const auto md =
+      an::render_markdown_report(f.pipe.stage3(), f.pipe.counters());
   EXPECT_TRUE(md.rfind("# GPU resilience characterization", 0) == 0);
   for (const char* heading :
        {"## Error counts and MTBE (Table I)", "## Headline findings",
@@ -84,7 +85,8 @@ TEST(MarkdownReport, SectionsToggleOff) {
   opts.title = "Custom title";
   opts.include_trends = false;
   opts.include_survival = false;
-  const auto md = an::render_markdown_report(f.pipe, f.topo, opts);
+  const auto md =
+      an::render_markdown_report(f.pipe.stage3(), f.pipe.counters(), opts);
   EXPECT_NE(md.find("# Custom title"), std::string::npos);
   EXPECT_EQ(md.find("## Trends"), std::string::npos);
   EXPECT_EQ(md.find("## Survival"), std::string::npos);
@@ -99,7 +101,7 @@ TEST(MarkdownReport, JobSectionsSkippedWithoutJobs) {
                           "0000:07:00", gx::Code::kMmuError, "x") +
           "\n");
   pipe.finish();
-  const auto md = an::render_markdown_report(pipe, topo);
+  const auto md = an::render_markdown_report(pipe.stage3(), pipe.counters());
   EXPECT_EQ(md.find("Table II"), std::string::npos);
   EXPECT_EQ(md.find("Table III"), std::string::npos);
   EXPECT_EQ(md.find("Mitigation"), std::string::npos);
@@ -110,7 +112,8 @@ TEST(MarkdownReport, ScorecardSectionOptIn) {
   Fixture f;
   an::MarkdownReportOptions opts;
   opts.include_scorecard = true;
-  const auto md = an::render_markdown_report(f.pipe, f.topo, opts);
+  const auto md =
+      an::render_markdown_report(f.pipe.stage3(), f.pipe.counters(), opts);
   EXPECT_NE(md.find("## Reproduction scorecard"), std::string::npos);
   EXPECT_NE(md.find("shape match:"), std::string::npos);
 }

@@ -16,6 +16,7 @@
 #include "analysis/markdown_report.h"
 #include "analysis/reports.h"
 #include "common/json.h"
+#include "ingest_helpers.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
@@ -23,6 +24,7 @@
 
 namespace an = gpures::analysis;
 namespace cl = gpures::cluster;
+namespace gt = gpures::testing;
 namespace ob = gpures::obs;
 namespace fs = std::filesystem;
 
@@ -41,9 +43,10 @@ an::CampaignConfig small_campaign(std::uint64_t seed) {
   return cfg;
 }
 
-/// Everything the CLIs can emit on stdout or to export files.
-std::string rendered_artifacts(const an::AnalysisPipeline& pipe,
-                               const cl::Topology& topo) {
+/// Everything the CLIs can emit on stdout or to export files.  `S` is
+/// AnalysisPipeline or ServeSession.
+template <typename S>
+std::string rendered_artifacts(const S& pipe) {
   const auto stats = pipe.error_stats();
   const auto impact = pipe.job_impact();
   const auto jobs = pipe.job_stats();
@@ -64,7 +67,7 @@ std::string rendered_artifacts(const an::AnalysisPipeline& pipe,
   bundle.availability = &avail;
   bundle.mttf_h = pipe.mttf_estimate_h();
   os << an::to_json(bundle);
-  os << an::render_markdown_report(pipe, topo);
+  os << an::render_markdown_report(pipe.stage3(), pipe.counters());
   return os.str();
 }
 
@@ -80,7 +83,7 @@ TEST(ObsDifferential, CampaignWithMetricsAndTraceMatchesPlainRun) {
   // Baseline: no shared registry, no tracer.
   an::DeltaCampaign plain(small_campaign(11));
   plain.run();
-  const auto baseline = rendered_artifacts(plain.pipeline(), plain.topology());
+  const auto baseline = rendered_artifacts(plain.pipeline());
   ASSERT_FALSE(plain.pipeline().errors().empty());
 
   // Instrumented: shared registry across every layer + installed tracer.
@@ -94,7 +97,7 @@ TEST(ObsDifferential, CampaignWithMetricsAndTraceMatchesPlainRun) {
     TracerGuard guard(&tracer);
     an::DeltaCampaign obs(cfg);
     obs.run();
-    instrumented = rendered_artifacts(obs.pipeline(), obs.topology());
+    instrumented = rendered_artifacts(obs.pipeline());
     instrumented_errors = obs.pipeline().errors().size();
   }
   EXPECT_EQ(baseline, instrumented);
@@ -125,29 +128,24 @@ TEST(ObsDifferential, DatasetAnalysisIdenticalAcrossObsAndThreadModes) {
     writer.finalize();
   }
 
-  const auto manifest = an::read_manifest(dir);
-  ASSERT_TRUE(manifest.ok()) << manifest.error().message;
-  cl::Topology topo(manifest.value().spec);
-
   auto analyze = [&](std::uint32_t threads, bool instrumented) {
-    an::PipelineConfig pcfg;
-    pcfg.periods = manifest.value().periods;
-    pcfg.num_threads = threads;
+    auto cfg = gt::analyze_config(dir, an::IngestPolicy::kStrict, threads);
     ob::MetricsRegistry registry;
     ob::Tracer tracer;
     if (instrumented) {
-      pcfg.metrics = &registry;
+      cfg.metrics = &registry;
       ob::Tracer::install(&tracer);
     }
-    an::AnalysisPipeline pipe(topo, pcfg);
-    const auto loaded = an::load_dataset(dir, pipe);
+    gpures::serve::ServeSession session(std::move(cfg));
+    auto st = session.open(false);
+    if (st.ok()) st = session.drain();
     ob::Tracer::install(nullptr);
-    EXPECT_TRUE(loaded.ok());
+    EXPECT_TRUE(st.ok());
     if (instrumented) {
       EXPECT_GT(tracer.event_count(), 0u);
       EXPECT_GT(registry.counter_value("pipe.log_lines"), 0u);
     }
-    return rendered_artifacts(pipe, topo);
+    return rendered_artifacts(session);
   };
 
   const auto serial_off = analyze(0, false);
@@ -177,28 +175,22 @@ TEST(ObsDifferential, FullTelemetryStackDoesNotPerturbArtifacts) {
     campaign.run();
     writer.finalize();
   }
-  const auto manifest = an::read_manifest(dir);
-  ASSERT_TRUE(manifest.ok()) << manifest.error().message;
-  cl::Topology topo(manifest.value().spec);
-
   auto analyze_plain = [&](std::uint32_t threads) {
-    an::PipelineConfig pcfg;
-    pcfg.periods = manifest.value().periods;
-    pcfg.num_threads = threads;
-    an::AnalysisPipeline pipe(topo, pcfg);
-    EXPECT_TRUE(an::load_dataset(dir, pipe).ok());
-    return rendered_artifacts(pipe, topo);
+    gpures::serve::ServeSession session(
+        gt::analyze_config(dir, an::IngestPolicy::kStrict, threads));
+    auto st = session.open(false);
+    if (st.ok()) st = session.drain();
+    EXPECT_TRUE(st.ok());
+    return rendered_artifacts(session);
   };
 
   auto analyze_fullstack = [&](std::uint32_t threads) {
     const auto telemetry_path =
         dir / ("telemetry_" + std::to_string(threads) + ".jsonl");
     const auto log_path = dir / ("log_" + std::to_string(threads) + ".jsonl");
-    an::PipelineConfig pcfg;
-    pcfg.periods = manifest.value().periods;
-    pcfg.num_threads = threads;
+    auto cfg = gt::analyze_config(dir, an::IngestPolicy::kStrict, threads);
     ob::MetricsRegistry registry;
-    pcfg.metrics = &registry;
+    cfg.metrics = &registry;
     ob::Tracer tracer;
     TracerGuard guard(&tracer);
     ob::Logger::Options log_opts;
@@ -214,9 +206,11 @@ TEST(ObsDifferential, FullTelemetryStackDoesNotPerturbArtifacts) {
     ob::TelemetrySampler sampler(topts);
     EXPECT_TRUE(sampler.start().ok());
 
-    an::AnalysisPipeline pipe(topo, pcfg);
-    EXPECT_TRUE(an::load_dataset(dir, pipe).ok());
-    const auto artifacts = rendered_artifacts(pipe, topo);
+    gpures::serve::ServeSession session(std::move(cfg));
+    auto st = session.open(false);
+    if (st.ok()) st = session.drain();
+    EXPECT_TRUE(st.ok());
+    const auto artifacts = rendered_artifacts(session);
 
     sampler.stop();
     ob::Logger::install(nullptr);
@@ -272,7 +266,7 @@ TEST(ObsDifferential, PerWorkerCountersPartitionTheTotals) {
     pcfg.periods = manifest.value().periods;
     pcfg.num_threads = threads;
     an::AnalysisPipeline pipe(topo, pcfg);
-    ASSERT_TRUE(an::load_dataset(dir, pipe).ok());
+    gt::feed_pipeline(dir, pipe);
 
     const auto& reg = pipe.metrics();
     const std::uint32_t slots = threads == 0 ? 1 : threads;

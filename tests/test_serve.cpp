@@ -1,5 +1,5 @@
-// Follow-mode serve session: the daemon's results must be byte-identical to
-// the batch pipeline over the same final dataset bytes — through checkpoints,
+// Follow-mode serve session: its results must be byte-identical to the
+// in-memory pipeline fed the same final dataset bytes — through checkpoints,
 // abandoned sessions, appends, torn tails, transient I/O faults, and thread
 // counts.  Permanent faults degrade sources instead of failing the run.
 #include <gtest/gtest.h>
@@ -12,10 +12,14 @@
 #include <vector>
 
 #include "analysis/dataset.h"
+#include "analysis/export.h"
+#include "analysis/markdown_report.h"
 #include "analysis/pipeline.h"
 #include "cluster/topology.h"
 #include "common/io.h"
 #include "common/time.h"
+#include "index/writer.h"
+#include "ingest_helpers.h"
 #include "logsys/syslog.h"
 #include "serve/serve.h"
 #include "slurm/accounting.h"
@@ -23,7 +27,9 @@
 namespace an = gpures::analysis;
 namespace cl = gpures::cluster;
 namespace ct = gpures::common;
+namespace gt = gpures::testing;
 namespace gx = gpures::xid;
+namespace ix = gpures::index;
 namespace ls = gpures::logsys;
 namespace sl = gpures::slurm;
 namespace sv = gpures::serve;
@@ -103,6 +109,9 @@ struct BatchOutcome {
   an::DataQualityReport quality;
 };
 
+/// The reference over the final bytes: rows from the in-memory pipeline
+/// fed whole day files, and the quality report of one uninterrupted lenient
+/// drain (what `gpures-analyze --ingest-policy lenient` reports).
 BatchOutcome batch_load(const fs::path& dir, std::uint32_t threads = 0) {
   BatchOutcome out;
   const auto m = an::read_manifest(dir);
@@ -112,16 +121,15 @@ BatchOutcome batch_load(const fs::path& dir, std::uint32_t threads = 0) {
   pcfg.periods = m.value().periods;
   pcfg.num_threads = threads;
   an::AnalysisPipeline pipe(topo, pcfg);
-  an::IngestOptions opt;
-  opt.policy = an::IngestPolicy::kLenient;
-  opt.expect_begin = m.value().periods.pre.begin;
-  opt.expect_end = m.value().periods.op.end;
-  opt.quality = &out.quality;
-  const auto loaded = an::load_dataset(dir, pipe, opt);
-  EXPECT_TRUE(loaded.ok()) << (loaded.ok() ? "" : loaded.error().message);
+  gt::feed_pipeline(dir, pipe);
   out.errors = pipe.errors();
   out.lifecycle = pipe.lifecycle().size();
   out.jobs = pipe.jobs().jobs.size();
+  sv::ServeSession s(gt::analyze_config(dir, an::IngestPolicy::kLenient));
+  auto st = s.open(false);
+  if (st.ok()) st = s.drain();
+  EXPECT_TRUE(st.ok()) << (st.ok() ? "" : st.error().message);
+  out.quality = s.quality();
   return out;
 }
 
@@ -653,4 +661,91 @@ TEST(Serve, CheckpointBytesGrowLinearlyNotQuadratically) {
   expect_matches_batch(outcome_of(s), batch);
   fs::remove_all(dir);
   fs::remove_all(ckpt);
+}
+
+TEST(Serve, CleanDrainRaisesNoStallWarnings) {
+  // Every day is on disk at open(), so no day ever waits on its producer:
+  // a day queued behind earlier ones has not stalled, however many ticks
+  // pass before its turn comes.
+  const auto dir = make_dataset("no_stall", 30);
+  for (const std::uint32_t threads : {0u, 4u}) {
+    sv::ServeConfig cfg = base_config(dir, threads);
+    std::vector<std::string> warns;
+    cfg.warn = [&](const std::string& w) { warns.push_back(w); };
+    sv::ServeSession s(std::move(cfg));
+    ASSERT_TRUE(s.open(false).ok());
+    ASSERT_TRUE(s.drain().ok());
+    ASSERT_GT(s.ticks(), 30u);
+    for (const auto& w : warns) {
+      EXPECT_EQ(w.find("watchdog"), std::string::npos) << w;
+    }
+    const auto& stalled = s.metrics().gauge("serve.sources.stalled");
+    EXPECT_EQ(stalled.max(), 0) << threads << " threads";
+    EXPECT_EQ(s.quality().days_present, 30u);
+  }
+  fs::remove_all(dir);
+}
+
+namespace {
+
+/// The index, JSON export and markdown report an engine's rows render to.
+/// `S` is AnalysisPipeline or ServeSession.
+template <typename S>
+std::string emitted_bytes(const S& src) {
+  const auto& run = src.stage3();
+  const auto avail = run.availability();
+  ix::IndexBuildInput in;
+  in.periods = run.config().periods;
+  in.topo = &run.topo();
+  in.errors = &run.rows().errors;
+  in.jobs = &run.rows().jobs;
+  in.unavailability = &avail.intervals;
+  const auto idx = ix::serialize_index(in);
+  EXPECT_TRUE(idx.ok()) << (idx.ok() ? "" : idx.error().message);
+  const auto stats = run.error_stats();
+  const auto impact = run.job_impact();
+  const auto jobs = run.job_stats();
+  an::ExportBundle bundle;
+  bundle.error_stats = &stats;
+  bundle.job_stats = &jobs;
+  bundle.job_impact = &impact;
+  bundle.availability = &avail;
+  bundle.mttf_h = run.mttf_estimate_h();
+  return (idx.ok() ? idx.value() : std::string()) + an::to_json(bundle) +
+         an::render_markdown_report(run, src.counters());
+}
+
+}  // namespace
+
+TEST(Serve, InMemoryPipelineAndSessionEmitTheSameBytes) {
+  // The traced end-to-end probe times the in-memory pipeline's layers as
+  // "analyze"; that stands for gpures-analyze only while both engines turn
+  // the same dataset into the same bytes, counters included.
+  const auto dir = make_dataset("engine_parity", 12);
+  append_raw(day_file(dir, 3), "Jun  4 10:00:00 gpua009 kernel: unknown host\n");
+  append_raw(dir / "slurm_accounting.txt", "not|a|row\n");
+  const auto m = an::read_manifest(dir);
+  ASSERT_TRUE(m.ok());
+  const cl::Topology topo(m.value().spec);
+  for (const std::uint32_t threads : {0u, 4u}) {
+    an::PipelineConfig pcfg;
+    pcfg.periods = m.value().periods;
+    pcfg.num_threads = threads;
+    an::AnalysisPipeline pipe(topo, pcfg);
+    gt::feed_pipeline(dir, pipe);
+    sv::ServeSession s(gt::analyze_config(dir, an::IngestPolicy::kLenient,
+                                          threads));
+    ASSERT_TRUE(s.open(false).ok());
+    ASSERT_TRUE(s.drain().ok());
+    EXPECT_EQ(emitted_bytes(pipe), emitted_bytes(s)) << threads << " threads";
+    const auto a = pipe.counters();
+    const auto b = s.counters();
+    EXPECT_EQ(a.log_lines, b.log_lines);
+    EXPECT_EQ(a.unknown_hosts, b.unknown_hosts);
+    EXPECT_EQ(a.accounting_errors, b.accounting_errors);
+    EXPECT_EQ(a.errors_coalesced, b.errors_coalesced);
+    EXPECT_GT(b.unknown_hosts + b.rejected_lines, 0u);
+    EXPECT_EQ(b.accounting_errors, 1u);
+  }
+  fs::remove_all(dir);
 }

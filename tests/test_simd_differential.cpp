@@ -19,6 +19,7 @@
 #include "cluster/topology.h"
 #include "common/rng.h"
 #include "index/writer.h"
+#include "ingest_helpers.h"
 #include "logsys/day_buffer.h"
 #include "logsys/syslog.h"
 #include "simd/dispatch.h"
@@ -28,6 +29,7 @@ namespace an = gpures::analysis;
 namespace ch = gpures::chaos;
 namespace cl = gpures::cluster;
 namespace ct = gpures::common;
+namespace gt = gpures::testing;
 namespace gx = gpures::xid;
 namespace ix = gpures::index;
 namespace ls = gpures::logsys;
@@ -109,8 +111,8 @@ void expect_same_slicing(const std::string& text,
 
 // ---- pipeline runs ---------------------------------------------------------
 
-/// Everything a pipeline run externalizes, rendered to one string.
-std::string rendered_artifacts(const an::AnalysisPipeline& pipe) {
+/// Everything a run externalizes, rendered to one string.
+std::string rendered_artifacts(const gpures::serve::ServeSession& pipe) {
   const auto stats = pipe.error_stats();
   const auto avail = pipe.availability();
   std::ostringstream os;
@@ -126,7 +128,7 @@ std::string rendered_artifacts(const an::AnalysisPipeline& pipe) {
   return os.str();
 }
 
-std::string serialized_index(const an::AnalysisPipeline& pipe,
+std::string serialized_index(const gpures::serve::ServeSession& pipe,
                              const cl::Topology& topo,
                              const an::StudyPeriods& periods) {
   ix::IndexBuildInput in;
@@ -223,26 +225,15 @@ RunResult run_dataset(const fs::path& dir, sd::Backend backend,
                       std::uint32_t threads, an::IngestPolicy policy) {
   BackendGuard guard(backend);
   RunResult out;
-  const auto m = an::read_manifest(dir);
-  EXPECT_TRUE(m.ok()) << (m.ok() ? "" : m.error().message);
-  const cl::Topology topo(m.value().spec);
-  an::PipelineConfig pcfg;
-  pcfg.periods = m.value().periods;
-  pcfg.num_threads = threads;
-  an::AnalysisPipeline pipe(topo, pcfg);
-  an::DataQualityReport quality;
-  an::IngestOptions opt;
-  opt.policy = policy;
-  opt.expect_begin = m.value().periods.pre.begin;
-  opt.expect_end = m.value().periods.op.end;
-  opt.quality = &quality;
-  const auto loaded = an::load_dataset(dir, pipe, opt);
-  EXPECT_TRUE(loaded.ok()) << (loaded.ok() ? "" : loaded.error().message);
-  if (!loaded.ok()) return out;
-  out.days = loaded.value();
+  gpures::serve::ServeSession pipe(gt::analyze_config(dir, policy, threads));
+  auto st = pipe.open(false);
+  if (st.ok()) st = pipe.drain();
+  EXPECT_TRUE(st.ok()) << (st.ok() ? "" : st.error().message);
+  if (!st.ok()) return out;
+  out.days = pipe.quality().days_present;
   out.artifacts = rendered_artifacts(pipe);
-  out.quality_json = quality.to_json();
-  out.index_bytes = serialized_index(pipe, topo, m.value().periods);
+  out.quality_json = pipe.quality().to_json();
+  out.index_bytes = serialized_index(pipe, pipe.topo(), pipe.periods());
   return out;
 }
 

@@ -1,0 +1,194 @@
+#include "emit.h"
+
+#include <cstdio>
+#include <sstream>
+
+#include "analysis/export.h"
+#include "analysis/markdown_report.h"
+#include "analysis/mitigation.h"
+#include "analysis/reports.h"
+#include "analysis/survival.h"
+#include "analysis/trends.h"
+#include "common/io.h"
+#include "index/writer.h"
+#include "obs/expfmt.h"
+#include "obs/log.h"
+
+namespace gpures::tools {
+
+namespace fs = std::filesystem;
+
+bool write_artifact(const char* component, const fs::path& path,
+                    std::string_view text) {
+  const auto st = common::write_file_atomic(path.string(), text);
+  if (!st.ok()) {
+    obs::Logger::current().error(component, "artifact write failed",
+                                 {{"path", path.string()},
+                                  {"error", st.error().message}});
+    return false;
+  }
+  return true;
+}
+
+namespace {
+
+void count_ingest(const analysis::DataQualityReport& q,
+                  obs::MetricsRegistry& registry) {
+  registry.counter("ingest.lines_kept").add(q.lines_kept);
+  registry.counter("ingest.lines_quarantined").add(q.quarantined_lines());
+  registry.counter("ingest.bytes_quarantined").add(q.quarantined_bytes());
+  registry.counter("ingest.days_missing").add(q.missing_days.size());
+  registry.counter("ingest.days_skipped").add(q.skipped_days.size());
+  registry.counter("ingest.days_zero_byte").add(q.zero_byte_days);
+  registry.counter("ingest.stray_files").add(q.stray_files.size());
+  registry.counter("ingest.accounting_rows_rejected")
+      .add(q.accounting_rows_rejected);
+}
+
+void print_reports(const analysis::Stage3& run,
+                   const analysis::ErrorStats& stats,
+                   const std::string& report) {
+  if (report == "none") return;
+  const auto& errors = run.rows().errors;
+  const auto& periods = run.config().periods;
+  const bool all = report == "all";
+  const bool have_jobs = !run.rows().jobs.jobs.empty();
+  if (all || report == "table1") {
+    std::printf("%s\n", analysis::render_table1(stats).c_str());
+  }
+  if (all || report == "findings") {
+    std::printf("%s\n", analysis::render_findings(stats).c_str());
+  }
+  if ((all || report == "table2") && have_jobs) {
+    std::printf("%s\n", analysis::render_table2(run.job_impact()).c_str());
+  }
+  if ((all || report == "table3") && have_jobs) {
+    std::printf("%s\n", analysis::render_table3(run.job_stats()).c_str());
+  }
+  if (all || report == "fig2") {
+    std::printf("%s\n",
+                analysis::render_fig2(run.availability(), run.mttf_estimate_h())
+                    .c_str());
+  }
+  if (all || report == "trends") {
+    std::printf(
+        "%s\n",
+        analysis::render_trends(errors, periods, run.pool()).c_str());
+  }
+  if ((all || report == "mitigation") && have_jobs) {
+    std::printf("%s\n",
+                analysis::render_mitigation(run.rows().jobs, errors,
+                                            run.impact_config(), run.pool())
+                    .c_str());
+  }
+  if (all || report == "survival") {
+    std::printf("%s\n", analysis::render_survival(errors, periods,
+                                                  run.topo().total_gpus(),
+                                                  run.pool())
+                            .c_str());
+  }
+}
+
+}  // namespace
+
+bool emit_results(const serve::ServeSession& session, const EmitRequest& req,
+                  obs::MetricsRegistry& registry, obs::RunManifest* run) {
+  auto& log = obs::Logger::current();
+  const char* who = req.component;
+  const auto& s3 = session.stage3();
+  const auto& quality = session.quality();
+  count_ingest(quality, registry);
+  const auto stats = s3.error_stats();
+  print_reports(s3, stats, req.report);
+
+  if (!req.csv_dir.empty()) {
+    const auto impact = s3.job_impact();
+    const auto jobs = s3.job_stats();
+    const auto avail = s3.availability();
+    const auto write_csv = [&](const char* name, auto&& render) {
+      std::ostringstream os;
+      render(os);
+      return write_artifact(who, fs::path(req.csv_dir) / name, os.str());
+    };
+    const bool ok =
+        write_csv("table1.csv",
+                  [&](std::ostream& os) { analysis::write_table1_csv(os, stats); }) &&
+        write_csv("table2.csv",
+                  [&](std::ostream& os) { analysis::write_table2_csv(os, impact); }) &&
+        write_csv("table3.csv",
+                  [&](std::ostream& os) { analysis::write_table3_csv(os, jobs); }) &&
+        write_csv("fig2.csv",
+                  [&](std::ostream& os) { analysis::write_fig2_csv(os, avail); });
+    if (!ok) return false;
+    log.info(who, "wrote CSV exports", {{"dir", req.csv_dir}});
+  }
+
+  if (!req.md_file.empty()) {
+    analysis::MarkdownReportOptions mopts;
+    mopts.quality = &quality;
+    if (!write_artifact(who, req.md_file,
+                        analysis::render_markdown_report(
+                            s3, session.counters(), mopts))) {
+      return false;
+    }
+    log.info(who, "wrote markdown report", {{"path", req.md_file}});
+  }
+
+  if (!req.index_file.empty()) {
+    const auto avail = s3.availability();
+    const auto& cfg = s3.config();
+    index::IndexBuildInput in;
+    in.periods = cfg.periods;
+    in.attribution_window = cfg.attribution_window;
+    in.attribution = cfg.attribution;
+    in.outlier_share = cfg.outlier_share;
+    in.outlier_min = cfg.outlier_min;
+    in.topo = &s3.topo();
+    in.errors = &s3.rows().errors;
+    in.jobs = &s3.rows().jobs;
+    in.unavailability = &avail.intervals;
+    const auto wrote = index::write_index(in, req.index_file);
+    if (!wrote.ok()) {
+      log.error(who, wrote.error().message);
+      return false;
+    }
+    const auto& ws = wrote.value();
+    log.info(who, "wrote index",
+             {{"path", req.index_file},
+              {"bytes", ws.bytes},
+              {"errors", ws.errors},
+              {"jobs", ws.jobs},
+              {"unavailability", ws.unavailability}});
+    if (run != nullptr) {
+      run->extra.emplace_back("index_bytes", std::to_string(ws.bytes));
+    }
+  }
+
+  if (!req.json_file.empty()) {
+    const auto impact = s3.job_impact();
+    const auto jobs = s3.job_stats();
+    const auto avail = s3.availability();
+    analysis::ExportBundle bundle;
+    bundle.error_stats = &stats;
+    bundle.job_stats = &jobs;
+    bundle.job_impact = &impact;
+    bundle.availability = &avail;
+    bundle.mttf_h = s3.mttf_estimate_h();
+    if (!write_artifact(who, req.json_file, analysis::to_json(bundle) + "\n")) {
+      return false;
+    }
+    log.info(who, "wrote JSON export", {{"path", req.json_file}});
+  }
+
+  return req.quality_file.empty() ||
+         write_artifact(who, req.quality_file, quality.to_json() + "\n");
+}
+
+bool emit_metrics(const obs::MetricsRegistry& registry,
+                  const EmitRequest& req) {
+  return req.metrics_file.empty() ||
+         write_artifact(req.component, req.metrics_file,
+                        obs::render_metrics_file(registry, req.metrics_file));
+}
+
+}  // namespace gpures::tools

@@ -4,14 +4,16 @@
 //                              findings|trends|survival]
 //                  [--export-csv DIR] [--export-json FILE]
 //                  [--coalesce-window SECONDS] [--window SECONDS]
-//                  [--node-level] [--regex] [--threads N]
+//                  [--node-level] [--threads N]
 //                  [--metrics FILE[.prom]] [--trace FILE]
 //                  [--telemetry FILE [--telemetry-interval-ms N]]
 //                  [--log-json FILE] [--log-level L] [--quiet]
 //
 // The dataset can come from gpures-simulate or from a site's own logs laid
 // out in the same format (see src/analysis/dataset.h).  This is the
-// command-line face of the paper's Fig. 1 pipeline.
+// command-line face of the paper's Fig. 1 pipeline: it drains the dataset
+// through a serve::ServeSession (no checkpoints, strict policy by default)
+// exactly as `gpures-serve --once` does, then emits from the session.
 //
 // stdout carries the reports only; progress and ingest summaries go to
 // stderr, observability artifacts to the requested files.  Metrics and
@@ -19,30 +21,20 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "analysis/data_quality.h"
-#include "analysis/dataset.h"
-#include "analysis/export.h"
 #include "common/io.h"
 #include "common/strings.h"
-#include "analysis/markdown_report.h"
-#include "analysis/mitigation.h"
-#include "analysis/reports.h"
-#include "analysis/survival.h"
-#include "analysis/trends.h"
-#include "index/writer.h"
-#include "obs/expfmt.h"
+#include "emit.h"
 #include "obs/log.h"
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
+#include "serve/serve.h"
 #include "simd/dispatch.h"
 
 using namespace gpures;
@@ -63,7 +55,6 @@ void usage() {
       "  --coalesce-window S    Stage II window (default 30)\n"
       "  --window S             job-failure attribution window (default 20)\n"
       "  --node-level           node-level attribution (default: device)\n"
-      "  --regex                use the std::regex Stage-I matcher\n"
       "  --threads N            Stage I/II worker threads (0 = serial;\n"
       "                         output is byte-identical either way)\n"
       "  --simd B               Stage-I scan backend: auto|scalar|swar|avx2\n"
@@ -113,29 +104,14 @@ long long parse_count(const char* flag, std::string_view s) {
   return v;
 }
 
-/// One checked write path for every artifact (reports, exports, metrics,
-/// trace): open, short-write, and close failures all surface as an error
-/// record and a nonzero exit at the call site.
-bool write_artifact(const std::filesystem::path& path, std::string_view text) {
-  const auto st = common::write_file_atomic(path.string(), text);
-  if (!st.ok()) {
-    obs::Logger::current().error("analyze", "artifact write failed",
-                                 {{"path", path.string()},
-                                  {"error", st.error().message}});
-    return false;
-  }
-  return true;
-}
-
-/// Stable fingerprint of the effective pipeline configuration.
-std::string config_fingerprint(const analysis::PipelineConfig& cfg) {
+/// Stable fingerprint of the effective analysis configuration.
+std::string config_fingerprint(const serve::ServeConfig& cfg) {
   std::string s;
   s += "coalesce_window=" + std::to_string(cfg.coalescer.window) + ";";
   s += "attribution_window=" + std::to_string(cfg.attribution_window) + ";";
   s += "attribution=" +
        std::to_string(static_cast<int>(cfg.attribution)) + ";";
-  s += "regex=" + std::to_string(cfg.use_regex_parser ? 1 : 0) + ";";
-  s += "threads=" + std::to_string(cfg.num_threads) + ";";
+  s += "threads=" + std::to_string(cfg.threads) + ";";
   s += "outlier_share=" + std::to_string(cfg.outlier_share) + ";";
   s += "outlier_min=" + std::to_string(cfg.outlier_min);
   return obs::hex64(obs::fnv1a64(s));
@@ -144,15 +120,9 @@ std::string config_fingerprint(const analysis::PipelineConfig& cfg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string data_dir;
-  std::string report = "all";
-  std::string csv_dir;
-  std::string json_file;
-  std::string md_file;
-  std::string index_file;
-  std::string metrics_file;
+  tools::EmitRequest emit;
+  emit.component = "analyze";
   std::string trace_file;
-  std::string quality_file;
   std::string chaos_io_fault;
   std::string telemetry_file;
   long long telemetry_interval_ms = 1000;
@@ -161,9 +131,8 @@ int main(int argc, char** argv) {
   bool quiet = false;
   std::string simd_choice;
   bool simd_info = false;
-  analysis::PipelineConfig pcfg;
-  analysis::IngestPolicy policy = analysis::IngestPolicy::kStrict;
-  std::uint64_t error_budget = 0;
+  serve::ServeConfig scfg;
+  scfg.policy = analysis::IngestPolicy::kStrict;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -175,39 +144,37 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--data") {
-      data_dir = next("--data");
+      scfg.data_dir = next("--data");
     } else if (arg == "--report") {
-      report = next("--report");
+      emit.report = next("--report");
     } else if (arg == "--export-csv") {
-      csv_dir = next("--export-csv");
+      emit.csv_dir = next("--export-csv");
     } else if (arg == "--export-json") {
-      json_file = next("--export-json");
+      emit.json_file = next("--export-json");
     } else if (arg == "--report-md") {
-      md_file = next("--report-md");
+      emit.md_file = next("--report-md");
     } else if (arg == "--coalesce-window") {
-      pcfg.coalescer.window =
+      scfg.coalescer.window =
           parse_count("--coalesce-window", next("--coalesce-window"));
     } else if (arg == "--window") {
-      pcfg.attribution_window = parse_count("--window", next("--window"));
+      scfg.attribution_window = parse_count("--window", next("--window"));
     } else if (arg == "--node-level") {
-      pcfg.attribution = analysis::Attribution::kNodeLevel;
-    } else if (arg == "--regex") {
-      pcfg.use_regex_parser = true;
+      scfg.attribution = analysis::Attribution::kNodeLevel;
     } else if (arg == "--threads") {
       const long long n = parse_count("--threads", next("--threads"));
       if (n > 256) {
         std::fprintf(stderr, "gpures-analyze: --threads must be in [0, 256]\n");
         return 2;
       }
-      pcfg.num_threads = static_cast<std::uint32_t>(n);
+      scfg.threads = static_cast<std::uint32_t>(n);
     } else if (arg == "--simd") {
       simd_choice = next("--simd");
     } else if (arg == "--simd-info") {
       simd_info = true;
     } else if (arg == "--write-index") {
-      index_file = next("--write-index");
+      emit.index_file = next("--write-index");
     } else if (arg == "--metrics") {
-      metrics_file = next("--metrics");
+      emit.metrics_file = next("--metrics");
     } else if (arg == "--trace") {
       trace_file = next("--trace");
     } else if (arg == "--telemetry") {
@@ -239,12 +206,12 @@ int main(int argc, char** argv) {
                      "lenient\n");
         return 2;
       }
-      policy = *p;
+      scfg.policy = *p;
     } else if (arg == "--error-budget") {
-      error_budget = static_cast<std::uint64_t>(
+      scfg.error_budget = static_cast<std::uint64_t>(
           parse_count("--error-budget", next("--error-budget")));
     } else if (arg == "--quality-report") {
-      quality_file = next("--quality-report");
+      emit.quality_file = next("--quality-report");
     } else if (arg == "--chaos-io-fault") {
       chaos_io_fault = next("--chaos-io-fault");
     } else if (arg == "--quiet") {
@@ -292,7 +259,7 @@ int main(int argc, char** argv) {
     std::printf("\n");
     return 0;
   }
-  if (data_dir.empty()) {
+  if (scfg.data_dir.empty()) {
     usage();
     return 2;
   }
@@ -314,16 +281,12 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const auto manifest = analysis::read_manifest(data_dir);
-  if (!manifest.ok()) {
-    log.error("analyze", manifest.error().message);
-    return 1;
-  }
-  pcfg.periods = manifest.value().periods;
-  cluster::Topology topo(manifest.value().spec);
-
   obs::MetricsRegistry registry;
-  pcfg.metrics = &registry;
+  scfg.metrics = &registry;
+  // Always wired: the logger's min_level (error under --quiet) decides
+  // whether a warning reaches the text sink, and the JSONL sink keeps the
+  // record either way.
+  scfg.warn = [&log](const std::string& msg) { log.warn("ingest", msg); };
   obs::Tracer tracer;
   if (!trace_file.empty()) obs::Tracer::install(&tracer);
 
@@ -345,9 +308,9 @@ int main(int argc, char** argv) {
 
   obs::RunManifest run;
   run.tool = "gpures-analyze";
-  run.dataset = data_dir;
-  run.config_hash = config_fingerprint(pcfg);
-  run.threads = pcfg.num_threads;
+  run.dataset = scfg.data_dir.string();
+  run.config_hash = config_fingerprint(scfg);
+  run.threads = scfg.threads;
   run.started_at = obs::wall_clock_iso();
   // Record the resolved scan backend in the provenance manifest and the log:
   // artifacts are byte-identical across backends, but a throughput anomaly
@@ -358,22 +321,6 @@ int main(int argc, char** argv) {
            {{"backend", simd_backend},
             {"avx2_available",
              simd::available(simd::Backend::kAvx2) ? "true" : "false"}});
-
-  analysis::AnalysisPipeline pipe(topo, pcfg);
-
-  analysis::DataQualityReport quality;
-  analysis::IngestOptions iopt;
-  iopt.policy = policy;
-  iopt.error_budget = error_budget;
-  iopt.expect_begin = manifest.value().periods.pre.begin;
-  iopt.expect_end = manifest.value().periods.op.end;
-  iopt.quality = &quality;
-  // Always wired: the logger's min_level (error under --quiet) decides
-  // whether a warning reaches the text sink, and the JSONL sink keeps the
-  // record either way.
-  iopt.warn = [&log](const std::string& msg) {
-    log.warn("ingest", msg);
-  };
 
   common::IoFaultPlan fault_plan;
   if (!chaos_io_fault.empty()) {
@@ -387,184 +334,56 @@ int main(int argc, char** argv) {
     common::set_io_fault_plan(&fault_plan);
   }
 
+  const auto policy = scfg.policy;
+  serve::ServeSession session(std::move(scfg));
   obs::ProgressReporter progress("ingesting day", !quiet);
-  const auto loaded = analysis::load_dataset(data_dir, pipe, iopt, &progress);
+  auto st = session.open(false);
+  if (st.ok()) st = session.drain(&progress);
   progress.finish();
   common::set_io_fault_plan(nullptr);
-  if (!loaded.ok()) {
+  if (!st.ok()) {
     obs::Tracer::install(nullptr);
-    log.error("analyze", loaded.error().message);
+    log.error("analyze", st.error().message);
     return 1;
   }
 
-  // Surface the ingest accounting on the observability plane: counters in
-  // the metrics registry and headline figures in the run manifest.
-  registry.counter("ingest.lines_kept").add(quality.lines_kept);
-  registry.counter("ingest.lines_quarantined").add(quality.quarantined_lines());
-  registry.counter("ingest.bytes_quarantined").add(quality.quarantined_bytes());
-  registry.counter("ingest.days_missing").add(quality.missing_days.size());
-  registry.counter("ingest.days_skipped").add(quality.skipped_days.size());
-  registry.counter("ingest.days_zero_byte").add(quality.zero_byte_days);
-  registry.counter("ingest.stray_files").add(quality.stray_files.size());
-  registry.counter("ingest.accounting_rows_rejected")
-      .add(quality.accounting_rows_rejected);
+  // Surface the ingest accounting on the observability plane: headline
+  // figures in the run manifest (emit_results adds the ingest.* counters).
+  const auto& quality = session.quality();
   run.extra.emplace_back("ingest_policy",
                          std::string(analysis::to_string(policy)));
   run.extra.emplace_back("ingest_clean", quality.clean() ? "true" : "false");
   run.extra.emplace_back("lines_quarantined",
                          std::to_string(quality.quarantined_lines()));
-  const auto c = pipe.counters();
+  const auto c = session.counters();
   log.info("analyze", "ingest complete",
-           {{"day_files", loaded.value()},
+           {{"day_files", quality.days_present},
             {"lines", c.log_lines},
             {"xid_records", c.xid_records},
             {"lifecycle_records", c.lifecycle_records},
-            {"jobs", pipe.jobs().jobs.size()},
+            {"jobs", session.jobs().jobs.size()},
             {"accounting_errors", c.accounting_errors}});
 
-  const auto stats = pipe.error_stats();
-  const bool all = report == "all";
-  if (all || report == "table1") {
-    std::printf("%s\n", analysis::render_table1(stats).c_str());
-  }
-  if (all || report == "findings") {
-    std::printf("%s\n", analysis::render_findings(stats).c_str());
-  }
-  if ((all || report == "table2") && !pipe.jobs().jobs.empty()) {
-    std::printf("%s\n", analysis::render_table2(pipe.job_impact()).c_str());
-  }
-  if ((all || report == "table3") && !pipe.jobs().jobs.empty()) {
-    std::printf("%s\n", analysis::render_table3(pipe.job_stats()).c_str());
-  }
-  if (all || report == "fig2") {
-    std::printf("%s\n",
-                analysis::render_fig2(pipe.availability(), pipe.mttf_estimate_h())
-                    .c_str());
-  }
-  if (all || report == "trends") {
-    std::printf("%s\n",
-                analysis::render_trends(pipe.errors(), pcfg.periods,
-                                        pipe.pool())
-                    .c_str());
-  }
-  if ((all || report == "mitigation") && !pipe.jobs().jobs.empty()) {
-    analysis::JobImpactConfig icfg;
-    icfg.window = pcfg.attribution_window;
-    icfg.period = pcfg.periods.op;
-    icfg.attribution = pcfg.attribution;
-    std::printf("%s\n", analysis::render_mitigation(pipe.jobs(), pipe.errors(),
-                                                    icfg, pipe.pool())
-                            .c_str());
-  }
-  if (all || report == "survival") {
-    std::printf("%s\n",
-                analysis::render_survival(pipe.errors(), pcfg.periods,
-                                          topo.total_gpus(), pipe.pool())
-                    .c_str());
-  }
-
-  if (!csv_dir.empty()) {
-    namespace fs = std::filesystem;
-    const auto impact = pipe.job_impact();
-    const auto jobs = pipe.job_stats();
-    const auto avail = pipe.availability();
-    const auto write_csv = [&](const char* name, auto&& render) {
-      std::ostringstream os;
-      render(os);
-      return write_artifact(fs::path(csv_dir) / name, os.str());
-    };
-    const bool ok =
-        write_csv("table1.csv",
-                  [&](std::ostream& os) { analysis::write_table1_csv(os, stats); }) &&
-        write_csv("table2.csv",
-                  [&](std::ostream& os) { analysis::write_table2_csv(os, impact); }) &&
-        write_csv("table3.csv",
-                  [&](std::ostream& os) { analysis::write_table3_csv(os, jobs); }) &&
-        write_csv("fig2.csv",
-                  [&](std::ostream& os) { analysis::write_fig2_csv(os, avail); });
-    if (!ok) return 1;
-    log.info("analyze", "wrote CSV exports", {{"dir", csv_dir}});
-  }
-
-  if (!md_file.empty()) {
-    analysis::MarkdownReportOptions mopts;
-    mopts.quality = &quality;
-    if (!write_artifact(md_file,
-                        analysis::render_markdown_report(pipe, topo, mopts))) {
-      return 1;
-    }
-    log.info("analyze", "wrote markdown report", {{"path", md_file}});
-  }
-
-  if (!index_file.empty()) {
-    const auto avail = pipe.availability();
-    index::IndexBuildInput in;
-    in.periods = pcfg.periods;
-    in.attribution_window = pcfg.attribution_window;
-    in.attribution = pcfg.attribution;
-    in.outlier_share = pcfg.outlier_share;
-    in.outlier_min = pcfg.outlier_min;
-    in.topo = &topo;
-    in.errors = &pipe.errors();
-    in.jobs = &pipe.jobs();
-    in.unavailability = &avail.intervals;
-    const auto wrote = index::write_index(in, index_file);
-    if (!wrote.ok()) {
-      log.error("analyze", wrote.error().message);
-      return 1;
-    }
-    const auto& ws = wrote.value();
-    log.info("analyze", "wrote index",
-             {{"path", index_file},
-              {"bytes", ws.bytes},
-              {"errors", ws.errors},
-              {"jobs", ws.jobs},
-              {"unavailability", ws.unavailability}});
-    run.extra.emplace_back("index_bytes",
-                           std::to_string(wrote.value().bytes));
-  }
-
-  if (!json_file.empty()) {
-    const auto impact = pipe.job_impact();
-    const auto jobs = pipe.job_stats();
-    const auto avail = pipe.availability();
-    analysis::ExportBundle bundle;
-    bundle.error_stats = &stats;
-    bundle.job_stats = &jobs;
-    bundle.job_impact = &impact;
-    bundle.availability = &avail;
-    bundle.mttf_h = pipe.mttf_estimate_h();
-    if (!write_artifact(json_file, analysis::to_json(bundle) + "\n")) return 1;
-    log.info("analyze", "wrote JSON export", {{"path", json_file}});
-  }
+  if (!tools::emit_results(session, emit, registry, &run)) return 1;
 
   obs::Tracer::install(nullptr);
   run.finished_at = obs::wall_clock_iso();
-  run.extra.emplace_back("day_files", std::to_string(loaded.value()));
-  run.extra.emplace_back("errors",
-                         std::to_string(pipe.errors().size()));
-  run.extra.emplace_back("jobs", std::to_string(pipe.jobs().jobs.size()));
-
-  if (!csv_dir.empty()) {
-    const auto run_path =
-        std::filesystem::path(csv_dir) / "run_manifest.json";
-    if (!write_artifact(run_path, run.to_json(&registry))) return 1;
-  }
-  if (!quality_file.empty() &&
-      !write_artifact(quality_file, quality.to_json() + "\n")) {
+  run.extra.emplace_back("day_files", std::to_string(quality.days_present));
+  run.extra.emplace_back("errors", std::to_string(session.errors().size()));
+  run.extra.emplace_back("jobs", std::to_string(session.jobs().jobs.size()));
+  if (!emit.csv_dir.empty() &&
+      !tools::write_artifact(
+          "analyze", std::filesystem::path(emit.csv_dir) / "run_manifest.json",
+          run.to_json(&registry))) {
     return 1;
   }
   // Stop sampling before serializing the registry so the telemetry file
   // ends with a "final" sample and the --metrics artifact sees quiescent
   // writers (all snapshot views agree exactly; see obs/metrics.h).
   telemetry.stop();
-  if (!metrics_file.empty() &&
-      !write_artifact(metrics_file,
-                      obs::render_metrics_file(registry, metrics_file))) {
-    return 1;
-  }
+  if (!tools::emit_metrics(registry, emit)) return 1;
   if (!trace_file.empty() &&
-      !write_artifact(trace_file, tracer.to_chrome_json())) {
+      !tools::write_artifact("analyze", trace_file, tracer.to_chrome_json())) {
     return 1;
   }
   return 0;

@@ -232,8 +232,9 @@ double gauge_or(const Metrics& m, std::string_view name, double fallback) {
   return it == m.gauges.end() ? fallback : it->second.value;
 }
 
-/// Any serve.* counter or gauge in the snapshot means it came from
-/// gpures-serve and the daemon section applies.
+/// Any serve.* counter or gauge in the snapshot means it came from a
+/// ServeSession (gpures-serve, or gpures-analyze, which drains one) and the
+/// session section applies.
 bool has_serve_metrics(const Metrics& m) {
   for (const auto& [name, value] : m.counters) {
     if (name.rfind("serve.", 0) == 0) return true;
@@ -524,7 +525,7 @@ std::string render_md(const Report& r) {
     out += "| metric | value |\n|---|---|\n";
     static const char* kServeCounters[] = {
         "serve.ticks",           "serve.bytes_ingested",
-        "serve.log_lines",       "serve.errors_coalesced",
+        "pipe.log_lines",        "pipe.errors_coalesced",
         "serve.retry.attempts",  "serve.retry.recovered",
         "serve.retry.exhausted", "serve.sources.degraded_total",
         "serve.sources.rescans", "serve.checkpoint.writes",
@@ -581,10 +582,6 @@ std::string render_md(const Report& r) {
            " of observed raw lines.\n";
   } else {
     out += "No lines quarantined.\n";
-  }
-  if (const auto it = r.metrics.gauges.find("ingest.prefetch.in_flight");
-      it != r.metrics.gauges.end()) {
-    out += "Peak prefetch depth: " + fmt_num(it->second.max) + " days.\n";
   }
 
   if (!r.telemetry_path.empty()) {
@@ -708,10 +705,6 @@ std::string render_json(const Report& r) {
   w.end_object();
   w.kv("dropped_total", r.dropped_total);
   json_number_or_null(w, "drop_rate", r.drop_rate);
-  if (const auto it = r.metrics.gauges.find("ingest.prefetch.in_flight");
-      it != r.metrics.gauges.end()) {
-    w.kv("prefetch_peak_depth", it->second.max);
-  }
   w.end_object();
   if (!r.telemetry_path.empty()) {
     w.key("telemetry");

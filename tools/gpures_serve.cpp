@@ -24,17 +24,10 @@
 #include <string>
 #include <thread>
 
-#include "analysis/export.h"
-#include "analysis/mitigation.h"
-#include "analysis/reports.h"
-#include "analysis/survival.h"
-#include "analysis/trends.h"
 #include "common/io.h"
 #include "common/strings.h"
-#include "index/writer.h"
-#include "obs/expfmt.h"
+#include "emit.h"
 #include "obs/log.h"
-#include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "serve/serve.h"
 #include "simd/dispatch.h"
@@ -106,19 +99,6 @@ long long parse_count(const char* flag, std::string_view s) {
   return v;
 }
 
-/// Every artifact goes through the same atomic tmp+rename path the index and
-/// checkpoints use: a crash mid-emit never leaves a torn file for a reader.
-bool write_artifact(const std::filesystem::path& path, std::string_view text) {
-  const auto st = common::write_file_atomic(path.string(), text);
-  if (!st.ok()) {
-    obs::Logger::current().error("serve", "artifact write failed",
-                                 {{"path", path.string()},
-                                  {"error", st.error().message}});
-    return false;
-  }
-  return true;
-}
-
 struct ChaosKill {
   std::string point;
   std::uint64_t nth = 0;  ///< 1-based occurrence that fires
@@ -129,11 +109,8 @@ struct ChaosKill {
 
 int main(int argc, char** argv) {
   serve::ServeConfig scfg;
-  std::string report = "all";
-  std::string index_file;
-  std::string json_file;
-  std::string quality_file;
-  std::string metrics_file;
+  tools::EmitRequest emit;
+  emit.component = "serve";
   std::string log_json_file;
   std::string chaos_io_fault;
   std::string chaos_kill_spec;
@@ -233,15 +210,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--node-level") {
       scfg.attribution = analysis::Attribution::kNodeLevel;
     } else if (arg == "--report") {
-      report = next("--report");
+      emit.report = next("--report");
     } else if (arg == "--write-index") {
-      index_file = next("--write-index");
+      emit.index_file = next("--write-index");
     } else if (arg == "--export-json") {
-      json_file = next("--export-json");
+      emit.json_file = next("--export-json");
     } else if (arg == "--quality-report") {
-      quality_file = next("--quality-report");
+      emit.quality_file = next("--quality-report");
     } else if (arg == "--metrics") {
-      metrics_file = next("--metrics");
+      emit.metrics_file = next("--metrics");
     } else if (arg == "--simd") {
       simd_choice = next("--simd");
     } else if (arg == "--log-json") {
@@ -358,13 +335,6 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
 
-  // The session takes the config; keep the analysis knobs the emit phase
-  // still needs.
-  const common::Duration attribution_window = scfg.attribution_window;
-  const analysis::Attribution attribution = scfg.attribution;
-  const double outlier_share = scfg.outlier_share;
-  const std::uint64_t outlier_min = scfg.outlier_min;
-
   serve::ServeSession session(std::move(scfg));
   auto st = session.open(resume);
   if (!st.ok()) {
@@ -405,115 +375,14 @@ int main(int argc, char** argv) {
   }
   common::set_io_fault_plan(nullptr);
 
-  const auto& quality = session.quality();
-  registry.counter("ingest.lines_kept").add(quality.lines_kept);
-  registry.counter("ingest.lines_quarantined")
-      .add(quality.quarantined_lines());
-  registry.counter("ingest.bytes_quarantined")
-      .add(quality.quarantined_bytes());
-  registry.counter("ingest.days_missing").add(quality.missing_days.size());
-  registry.counter("ingest.days_skipped").add(quality.skipped_days.size());
-  registry.counter("ingest.days_zero_byte").add(quality.zero_byte_days);
-  registry.counter("ingest.stray_files").add(quality.stray_files.size());
-  registry.counter("ingest.accounting_rows_rejected")
-      .add(quality.accounting_rows_rejected);
-
   log.info("serve", "serve complete",
            {{"ticks", session.ticks()},
             {"errors", session.errors().size()},
             {"jobs", session.jobs().jobs.size()},
             {"degraded_sources", session.degraded_count()},
             {"checkpoint_seq", session.checkpoint_seq()}});
-
-  const auto& topo = session.topo();
-  const auto& periods = session.periods();
-  const bool all = report == "all";
-  if (report != "none") {
-    const auto stats = session.error_stats();
-    if (all || report == "table1") {
-      std::printf("%s\n", analysis::render_table1(stats).c_str());
-    }
-    if (all || report == "findings") {
-      std::printf("%s\n", analysis::render_findings(stats).c_str());
-    }
-    if ((all || report == "table2") && !session.jobs().jobs.empty()) {
-      std::printf("%s\n", analysis::render_table2(session.job_impact()).c_str());
-    }
-    if ((all || report == "table3") && !session.jobs().jobs.empty()) {
-      std::printf("%s\n", analysis::render_table3(session.job_stats()).c_str());
-    }
-    if (all || report == "fig2") {
-      std::printf("%s\n",
-                  analysis::render_fig2(session.availability(),
-                                        session.mttf_estimate_h())
-                      .c_str());
-    }
-    if (all || report == "trends") {
-      std::printf("%s\n",
-                  analysis::render_trends(session.errors(), periods,
-                                          session.pool())
-                      .c_str());
-    }
-    if ((all || report == "mitigation") && !session.jobs().jobs.empty()) {
-      analysis::JobImpactConfig icfg;
-      icfg.window = attribution_window;
-      icfg.period = periods.op;
-      icfg.attribution = attribution;
-      std::printf("%s\n",
-                  analysis::render_mitigation(session.jobs(), session.errors(),
-                                              icfg, session.pool())
-                      .c_str());
-    }
-    if (all || report == "survival") {
-      std::printf("%s\n",
-                  analysis::render_survival(session.errors(), periods,
-                                            topo.total_gpus(), session.pool())
-                      .c_str());
-    }
-  }
-
-  if (!index_file.empty()) {
-    const auto avail = session.availability();
-    index::IndexBuildInput in;
-    in.periods = periods;
-    in.attribution_window = attribution_window;
-    in.attribution = attribution;
-    in.outlier_share = outlier_share;
-    in.outlier_min = outlier_min;
-    in.topo = &topo;
-    in.errors = &session.errors();
-    in.jobs = &session.jobs();
-    in.unavailability = &avail.intervals;
-    const auto wrote = index::write_index(in, index_file);
-    if (!wrote.ok()) {
-      log.error("serve", wrote.error().message);
-      return 1;
-    }
-    log.info("serve", "wrote index",
-             {{"path", index_file}, {"bytes", wrote.value().bytes}});
-  }
-
-  if (!json_file.empty()) {
-    const auto stats = session.error_stats();
-    const auto impact = session.job_impact();
-    const auto jobs = session.job_stats();
-    const auto avail = session.availability();
-    analysis::ExportBundle bundle;
-    bundle.error_stats = &stats;
-    bundle.job_stats = &jobs;
-    bundle.job_impact = &impact;
-    bundle.availability = &avail;
-    bundle.mttf_h = session.mttf_estimate_h();
-    if (!write_artifact(json_file, analysis::to_json(bundle) + "\n")) return 1;
-  }
-
-  if (!quality_file.empty() &&
-      !write_artifact(quality_file, quality.to_json() + "\n")) {
-    return 1;
-  }
-  if (!metrics_file.empty() &&
-      !write_artifact(metrics_file,
-                      obs::render_metrics_file(registry, metrics_file))) {
+  if (!tools::emit_results(session, emit, registry, nullptr) ||
+      !tools::emit_metrics(registry, emit)) {
     return 1;
   }
   return 0;
