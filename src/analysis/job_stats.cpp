@@ -33,13 +33,16 @@ void JobTable::add(const slurm::JobRecord& rec) {
   v.gpus = rec.gpus;
   v.state = rec.state;
   v.is_ml = is_ml_name(rec.name);
-  std::vector<PackedGpu> packed;
-  packed.reserve(rec.gpu_list.size());
-  for (const auto& g : rec.gpu_list) packed.push_back(pack_gpu(g.node, g.slot));
-  if (packed.size() <= v.gpus_inline.size()) {
-    v.inline_count = static_cast<std::uint8_t>(packed.size());
-    for (std::size_t i = 0; i < packed.size(); ++i) v.gpus_inline[i] = packed[i];
+  const auto& gl = rec.gpu_list;
+  if (gl.size() <= v.gpus_inline.size()) {
+    v.inline_count = static_cast<std::uint8_t>(gl.size());
+    for (std::size_t i = 0; i < gl.size(); ++i) {
+      v.gpus_inline[i] = pack_gpu(gl[i].node, gl[i].slot);
+    }
   } else {
+    std::vector<PackedGpu> packed;
+    packed.reserve(gl.size());
+    for (const auto& g : gl) packed.push_back(pack_gpu(g.node, g.slot));
     v.spill_index = static_cast<std::int32_t>(spill.size());
     spill.push_back(std::move(packed));
   }
@@ -51,8 +54,22 @@ bool is_ml_name(std::string_view name) {
       "train", "model", "bert",  "gpt",   "llm",        "torch",
       "tensorflow", "resnet", "diffusion", "gnn",  "vit_", "unet",
       "finetune", "pretrain", "keras", "rl_"};
+  // Lower-case once into a stack buffer, then run plain finds; names too
+  // long for the buffer take the case-insensitive search per keyword.
+  std::array<char, 64> buf{};
+  if (name.size() > buf.size()) {
+    for (const auto kw : kKeywords) {
+      if (common::icontains(name, kw)) return true;
+    }
+    return false;
+  }
+  for (std::size_t i = 0; i < name.size(); ++i) {
+    const char c = name[i];
+    buf[i] = c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+  }
+  const std::string_view lower(buf.data(), name.size());
   for (const auto kw : kKeywords) {
-    if (common::icontains(name, kw)) return true;
+    if (lower.find(kw) != std::string_view::npos) return true;
   }
   return false;
 }

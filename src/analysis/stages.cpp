@@ -94,7 +94,7 @@ AccountingLine add_accounting_line(std::string_view line,
   const auto trimmed = common::trim(line);
   if (trimmed.empty()) return AccountingLine::kBlank;
   m.accounting_lines->inc();
-  if (trimmed == slurm::accounting_header()) return AccountingLine::kHeader;
+  if (trimmed == slurm::kAccountingHeader) return AccountingLine::kHeader;
   auto rec = slurm::parse_accounting_line(trimmed, topo);
   if (!rec.ok()) {
     m.accounting_errors->inc();

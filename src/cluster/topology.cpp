@@ -15,6 +15,14 @@ namespace {
 constexpr std::array<int, 8> kPciBusBySlot = {0x07, 0x27, 0x47, 0x67,
                                               0x87, 0xA7, 0xC7, 0xE7};
 
+// Value of one upper-case hex digit, -1 for anything else (pci_bus renders
+// "%02X", so lower case never names a bus).
+int upper_hex_digit(char c) {
+  if (c >= '0' && c <= '9') return c - '0';
+  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+  return -1;
+}
+
 std::string node_name(const char* prefix, int i) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%s%03d", prefix, i);
@@ -60,20 +68,22 @@ std::int32_t ClusterSpec::total_gpus() const {
 
 Topology::Topology(ClusterSpec spec) : spec_(std::move(spec)) {
   flat_base_.reserve(spec_.nodes.size());
+  by_name_.reserve(spec_.nodes.size());
   for (const auto& n : spec_.nodes) {
     if (n.gpu_count < 1 || n.gpu_count > 8) {
       throw std::invalid_argument("Topology: node GPU count must be 1..8");
     }
+    // emplace keeps the first index of a duplicated name.
+    by_name_.emplace(n.name, static_cast<std::int32_t>(flat_base_.size()));
     flat_base_.push_back(total_gpus_);
     total_gpus_ += n.gpu_count;
   }
 }
 
 std::optional<std::int32_t> Topology::node_index(std::string_view hostname) const {
-  for (std::size_t i = 0; i < spec_.nodes.size(); ++i) {
-    if (spec_.nodes[i].name == hostname) return static_cast<std::int32_t>(i);
-  }
-  return std::nullopt;
+  const auto it = by_name_.find(hostname);
+  if (it == by_name_.end()) return std::nullopt;
+  return it->second;
 }
 
 std::string Topology::pci_bus(xid::GpuId gpu) const {
@@ -90,8 +100,18 @@ std::string Topology::pci_bus(xid::GpuId gpu) const {
 std::optional<std::int32_t> Topology::slot_for_pci(std::int32_t node_idx,
                                                    std::string_view pci) const {
   if (node_idx < 0 || node_idx >= node_count()) return std::nullopt;
-  for (std::int32_t s = 0; s < gpus_on_node(node_idx); ++s) {
-    if (pci_bus({node_idx, s}) == pci) return s;
+  // "0000:BB:00" exactly as pci_bus renders it ("%02X": upper-case only).
+  if (pci.size() != 10 || pci.substr(0, 5) != "0000:" ||
+      pci.substr(7) != ":00") {
+    return std::nullopt;
+  }
+  const int hi = upper_hex_digit(pci[5]);
+  const int lo = upper_hex_digit(pci[6]);
+  if (hi < 0 || lo < 0) return std::nullopt;
+  const int bus = hi * 16 + lo;
+  const std::int32_t gpus = spec_.nodes[static_cast<std::size_t>(node_idx)].gpu_count;
+  for (std::int32_t s = 0; s < gpus; ++s) {
+    if (kPciBusBySlot[static_cast<std::size_t>(s)] == bus) return s;
   }
   return std::nullopt;
 }

@@ -7,8 +7,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "des/shard.h"
@@ -59,14 +62,18 @@ class Topology {
   const NodeSpec& node(std::int32_t idx) const { return spec_.nodes.at(static_cast<std::size_t>(idx)); }
   std::int32_t gpus_on_node(std::int32_t idx) const { return node(idx).gpu_count; }
 
-  /// Node index by hostname; nullopt if unknown.
+  /// Node index by hostname; nullopt if unknown.  One hash probe: Stage I
+  /// resolves every XID line and accounting every host of every job here.
+  /// A name listed twice resolves to its first node.
   std::optional<std::int32_t> node_index(std::string_view hostname) const;
 
   /// PCI bus id string for a GPU slot, e.g. "0000:27:00".  Slot -> bus
   /// mapping is fixed per node type (mirrors typical HGX board layouts).
   std::string pci_bus(xid::GpuId gpu) const;
 
-  /// Inverse of pci_bus: slot for a PCI bus string on the given node.
+  /// Inverse of pci_bus: slot for a PCI bus string on the given node.  Only
+  /// the exact shape pci_bus renders matches (upper-case hex, no function
+  /// suffix); the bus number is parsed, not compared as text.
   std::optional<std::int32_t> slot_for_pci(std::int32_t node_idx,
                                            std::string_view pci) const;
 
@@ -90,9 +97,21 @@ class Topology {
                                          std::int32_t slot) const;
 
  private:
+  /// Transparent hash, so node_index probes with a string_view.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   ClusterSpec spec_;
   std::int32_t total_gpus_ = 0;
   std::vector<std::int32_t> flat_base_;  ///< per node: first flat index
+  /// Hostname -> node index.  Keys are owned copies rather than views into
+  /// spec_, so a copied or moved Topology stays valid on its own.
+  std::unordered_map<std::string, std::int32_t, NameHash, std::equal_to<>>
+      by_name_;
 };
 
 }  // namespace gpures::cluster

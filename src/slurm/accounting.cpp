@@ -1,5 +1,6 @@
 #include "slurm/accounting.h"
 
+#include <array>
 #include <ostream>
 
 #include "common/fmt.h"
@@ -28,12 +29,37 @@ void append_iso_t(std::string& out, common::TimePoint tp) {
   common::append_2d(out, ct.second);
 }
 
+constexpr std::size_t kFieldCount = 11;
+
+// Walk a `sep`-separated list in place, keeping empty items (as
+// common::split does: "" is one empty item).  `pos` starts at 0; past the
+// last item the call returns false.
+bool next_item(std::string_view list, char sep, std::size_t& pos,
+               std::string_view& item) {
+  if (pos > list.size()) return false;
+  std::size_t end = list.find(sep, pos);
+  if (end == std::string_view::npos) end = list.size();
+  item = list.substr(pos, end - pos);
+  pos = end + 1;
+  return true;
+}
+
+// Cut `line` at every '|' into `out` and return how many fields there are.
+// Only the first kFieldCount are stored; the count stays exact past that,
+// so a rejection names the real number.
+std::size_t split_fields(std::string_view line,
+                         std::array<std::string_view, kFieldCount>& out) {
+  std::size_t n = 0;
+  std::string_view field;
+  for (std::size_t pos = 0; next_item(line, '|', pos, field); ++n) {
+    if (n < kFieldCount) out[n] = field;
+  }
+  return n;
+}
+
 }  // namespace
 
-std::string accounting_header() {
-  return "JobID|JobName|Submit|Start|End|State|ExitCode|NNodes|NGPUs|NodeList"
-         "|AllocGPUS";
-}
+std::string accounting_header() { return std::string(kAccountingHeader); }
 
 void append_accounting_line(std::string& out, const JobRecord& rec,
                             const cluster::Topology& topo) {
@@ -79,10 +105,11 @@ std::string to_accounting_line(const JobRecord& rec,
 
 common::Result<JobRecord> parse_accounting_line(
     std::string_view line, const cluster::Topology& topo) {
-  const auto fields = common::split(line, '|');
-  if (fields.size() != 11) {
+  std::array<std::string_view, kFieldCount> fields;
+  const std::size_t nfields = split_fields(line, fields);
+  if (nfields != kFieldCount) {
     return common::Error::make("accounting: expected 11 fields, got " +
-                               std::to_string(fields.size()));
+                               std::to_string(nfields));
   }
   JobRecord rec;
   const long long id = common::parse_ll(fields[0]);
@@ -110,8 +137,9 @@ common::Result<JobRecord> parse_accounting_line(
     return common::Error::make("accounting: unknown state '" +
                                std::string(fields[5]) + "'");
   }
-  const auto exit_fields = common::split(fields[6], ':');
-  const long long code = common::parse_ll(exit_fields[0]);
+  // ExitCode is "code:signal"; only the code before the first ':' counts.
+  const long long code =
+      common::parse_ll(fields[6].substr(0, fields[6].find(':')));
   if (code < 0) return common::Error::make("accounting: bad ExitCode");
   rec.exit_code = static_cast<std::int32_t>(code);
 
@@ -123,8 +151,10 @@ common::Result<JobRecord> parse_accounting_line(
   rec.nodes = static_cast<std::int32_t>(nnodes);
   rec.gpus = static_cast<std::int32_t>(ngpus);
 
-  if (!fields[9].empty()) {
-    for (const auto host : common::split(fields[9], ',')) {
+  const std::string_view node_field = fields[9];
+  if (!node_field.empty()) {
+    std::string_view host;
+    for (std::size_t pos = 0; next_item(node_field, ',', pos, host);) {
       const auto idx = topo.node_index(host);
       if (!idx) {
         return common::Error::make("accounting: unknown host '" +
@@ -136,8 +166,10 @@ common::Result<JobRecord> parse_accounting_line(
   if (static_cast<std::int32_t>(rec.node_list.size()) != rec.nodes) {
     return common::Error::make("accounting: NodeList length mismatch");
   }
-  if (!fields[10].empty()) {
-    for (const auto entry : common::split(fields[10], ';')) {
+  const std::string_view gpu_field = fields[10];
+  if (!gpu_field.empty()) {
+    std::string_view entry;
+    for (std::size_t pos = 0; next_item(gpu_field, ';', pos, entry);) {
       const auto colon = entry.rfind(':');
       if (colon == std::string_view::npos) {
         return common::Error::make("accounting: bad AllocGPUS entry");

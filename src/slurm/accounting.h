@@ -23,7 +23,11 @@
 
 namespace gpures::slurm {
 
-/// The dump header line.
+/// The dump header line.  Ingest compares every row against it, so it is a
+/// constant, not a string built per call.
+inline constexpr std::string_view kAccountingHeader =
+    "JobID|JobName|Submit|Start|End|State|ExitCode|NNodes|NGPUs|NodeList"
+    "|AllocGPUS";
 std::string accounting_header();
 
 /// Append one record to `out` (no trailing newline); `topo` translates node
@@ -37,7 +41,8 @@ std::string to_accounting_line(const JobRecord& rec,
                                const cluster::Topology& topo);
 
 /// Parse one record line (not the header). Node names are translated back to
-/// indices via `topo`; unknown hostnames fail the parse.
+/// indices via `topo`; unknown hostnames fail the parse.  Fields are cut in
+/// place: besides the record itself, a row allocates only on a rejection.
 common::Result<JobRecord> parse_accounting_line(std::string_view line,
                                                 const cluster::Topology& topo);
 

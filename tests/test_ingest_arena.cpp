@@ -15,6 +15,7 @@
 #include <fstream>
 #include <new>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "analysis/dataset.h"
@@ -427,4 +428,40 @@ TEST(ArenaAllocation, ParseHotPathDoesNotAllocate) {
   const auto after = heap_allocs();
   EXPECT_EQ(after - before, 0u) << "parse hot path allocated";
   EXPECT_EQ(matched2, matched);
+}
+
+TEST(ArenaAllocation, ResolveHotPathDoesNotAllocate) {
+  // Resolving an XID record to a GPU is a hash probe for the host and an
+  // arithmetic parse of the PCI bus: neither builds a string, so Stage I's
+  // per-line attribution touches the heap zero times.
+  const cl::Topology topo(cl::ClusterSpec::small(4, 2));
+  const auto day = ct::make_date(2023, 8, 4);
+  auto buf = emit_mixed_arena(topo, 4000, 17, day);
+  buf.sort_by_time();
+  const an::FastLineParser parser;
+  std::vector<an::XidRecord> xids;
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    auto p = parser.parse(buf.line(i), day);
+    if (p) {
+      if (const auto* x = std::get_if<an::XidRecord>(&*p)) xids.push_back(*x);
+    }
+  }
+  ASSERT_GT(xids.size(), 1000u);
+
+  const auto resolve_all = [&] {
+    std::size_t resolved = 0;
+    for (const auto& x : xids) {
+      const auto node = topo.node_index(x.host);
+      if (node && topo.slot_for_pci(*node, x.pci)) ++resolved;
+    }
+    return resolved;
+  };
+  const std::size_t warm = resolve_all();  // warm-up pass
+  EXPECT_EQ(warm, xids.size());
+
+  const auto before = heap_allocs();
+  const std::size_t resolved = resolve_all();
+  const auto after = heap_allocs();
+  EXPECT_EQ(after - before, 0u) << "resolve hot path allocated";
+  EXPECT_EQ(resolved, xids.size());
 }

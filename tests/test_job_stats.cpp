@@ -1,7 +1,14 @@
 // Stage III job population statistics (Table III machinery).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cctype>
+#include <string>
+#include <string_view>
+
 #include "analysis/job_stats.h"
+#include "common/rng.h"
+#include "common/strings.h"
 
 namespace an = gpures::analysis;
 namespace sl = gpures::slurm;
@@ -41,6 +48,84 @@ TEST(MlClassifier, Keywords) {
   EXPECT_FALSE(an::is_ml_name("namd_md_b0_001"));
   EXPECT_FALSE(an::is_ml_name("vasp_relax"));
   EXPECT_FALSE(an::is_ml_name("cfd_sweep_17"));
+  EXPECT_FALSE(an::is_ml_name(""));
+}
+
+namespace {
+
+constexpr std::array<std::string_view, 16> kMlKeywords = {
+    "train", "model", "bert",  "gpt",   "llm",        "torch",
+    "tensorflow", "resnet", "diffusion", "gnn",  "vit_", "unet",
+    "finetune", "pretrain", "keras", "rl_"};
+
+/// The classifier as sixteen case-insensitive searches, one per keyword.
+bool oracle_is_ml_name(std::string_view name) {
+  for (const auto kw : kMlKeywords) {
+    if (ct::icontains(name, kw)) return true;
+  }
+  return false;
+}
+
+/// A name of `len` random bytes (letters of either case, digits, '_', '-',
+/// and bytes >= 0x80), optionally with one keyword spliced in at `at` in
+/// random case.
+std::string random_name(ct::Rng& rng, std::size_t len) {
+  static constexpr std::string_view kAlphabet =
+      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-";
+  std::string name;
+  for (std::size_t i = 0; i < len; ++i) {
+    if (rng.uniform_u64(8) == 0) {
+      name += static_cast<char>(0x80 + rng.uniform_u64(0x80));
+    } else {
+      name += kAlphabet[rng.uniform_u64(kAlphabet.size())];
+    }
+  }
+  if (rng.uniform_u64(2) == 0) {
+    std::string kw(kMlKeywords[rng.uniform_u64(kMlKeywords.size())]);
+    for (auto& c : kw) {
+      if (rng.uniform_u64(2) == 0) c = static_cast<char>(std::toupper(c));
+    }
+    const auto at = rng.uniform_u64(4) == 0 ? name.size()
+                                            : rng.uniform_u64(name.size() + 1);
+    name.insert(at, kw);
+  }
+  return name;
+}
+
+}  // namespace
+
+TEST(MlClassifier, MatchesSixteenCaseInsensitiveSearches) {
+  ct::Rng rng(2024);
+  int ml = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    // Lengths run past the classifier's 64-byte stack buffer.
+    const auto name = random_name(rng, rng.uniform_u64(160));
+    const bool want = oracle_is_ml_name(name);
+    ASSERT_EQ(an::is_ml_name(name), want) << name;
+    ml += want;
+  }
+  EXPECT_GT(ml, 0);
+  EXPECT_LT(ml, 20000);
+}
+
+TEST(MlClassifier, EdgeCasesMatchTheOracle) {
+  const std::string long_tail = std::string(200, 'x') + "TRAIN";
+  const std::string at_buffer_end = std::string(59, 'x') + "ModeL";   // 64
+  const std::string past_buffer = std::string(60, 'x') + "ModeL";     // 65
+  const std::string high_bytes = "\xC3\x89tude_\xFF\x80gNn";
+  const std::string no_keyword(200, 'x');
+  for (const std::string_view name :
+       {std::string_view{}, std::string_view("GPT"), std::string_view("rl"),
+        std::string_view("xRL_"), std::string_view("vit"),
+        std::string_view(long_tail), std::string_view(at_buffer_end),
+        std::string_view(past_buffer), std::string_view(high_bytes),
+        std::string_view(no_keyword)}) {
+    EXPECT_EQ(an::is_ml_name(name), oracle_is_ml_name(name)) << name;
+  }
+  EXPECT_TRUE(an::is_ml_name(long_tail));
+  EXPECT_TRUE(an::is_ml_name(at_buffer_end));
+  EXPECT_TRUE(an::is_ml_name(past_buffer));
+  EXPECT_TRUE(an::is_ml_name(high_bytes));
   EXPECT_FALSE(an::is_ml_name(""));
 }
 

@@ -4,11 +4,17 @@
 // and must stay in agreement with the regex reference on every mutant.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <string_view>
 #include <variant>
+#include <vector>
 
 #include "analysis/extraction.h"
 #include "cluster/topology.h"
 #include "common/rng.h"
+#include "common/strings.h"
+#include "common/time.h"
 #include "logsys/syslog.h"
 #include "simd/dispatch.h"
 #include "slurm/accounting.h"
@@ -269,4 +275,174 @@ TEST(AccountingRobustness, BinaryGarbageRejected) {
     }
     EXPECT_FALSE(sl::parse_accounting_line(garbage, topo).ok());
   }
+}
+
+// ---- Accounting parser against the split-based parser it replaced ----
+
+namespace {
+
+std::optional<std::int32_t> oracle_node_index(const cl::Topology& topo,
+                                              std::string_view host) {
+  for (std::int32_t i = 0; i < topo.node_count(); ++i) {
+    if (topo.node(i).name == host) return i;
+  }
+  return std::nullopt;
+}
+
+/// The accounting parser as it was before fields were cut in place: one
+/// common::split vector per field list and a linear host scan.  Kept as the
+/// reference the in-place parser must match on every input.
+ct::Result<sl::JobRecord> oracle_parse_accounting_line(
+    std::string_view line, const cl::Topology& topo) {
+  const auto fields = ct::split(line, '|');
+  if (fields.size() != 11) {
+    return ct::Error::make("accounting: expected 11 fields, got " +
+                           std::to_string(fields.size()));
+  }
+  sl::JobRecord rec;
+  const long long id = ct::parse_ll(fields[0]);
+  if (id < 0) return ct::Error::make("accounting: bad JobID");
+  rec.id = static_cast<sl::JobId>(id);
+  rec.name = std::string(fields[1]);
+  const auto submit = ct::parse_iso(fields[2]);
+  const auto start = ct::parse_iso(fields[3]);
+  const auto end = ct::parse_iso(fields[4]);
+  if (!submit || !start || !end) {
+    return ct::Error::make("accounting: bad timestamp");
+  }
+  rec.submit = *submit;
+  rec.start = *start;
+  rec.end = *end;
+  if (rec.end < rec.start || rec.start < rec.submit) {
+    return ct::Error::make("accounting: non-monotonic Submit/Start/End");
+  }
+  if (!sl::parse_state(fields[5], rec.state)) {
+    return ct::Error::make("accounting: unknown state '" +
+                           std::string(fields[5]) + "'");
+  }
+  const auto exit_fields = ct::split(fields[6], ':');
+  const long long code = ct::parse_ll(exit_fields[0]);
+  if (code < 0) return ct::Error::make("accounting: bad ExitCode");
+  rec.exit_code = static_cast<std::int32_t>(code);
+  const long long nnodes = ct::parse_ll(fields[7]);
+  const long long ngpus = ct::parse_ll(fields[8]);
+  if (nnodes <= 0 || ngpus <= 0) {
+    return ct::Error::make("accounting: bad NNodes/NGPUs");
+  }
+  rec.nodes = static_cast<std::int32_t>(nnodes);
+  rec.gpus = static_cast<std::int32_t>(ngpus);
+  if (!fields[9].empty()) {
+    for (const auto host : ct::split(fields[9], ',')) {
+      const auto idx = oracle_node_index(topo, host);
+      if (!idx) {
+        return ct::Error::make("accounting: unknown host '" +
+                               std::string(host) + "'");
+      }
+      rec.node_list.push_back(*idx);
+    }
+  }
+  if (static_cast<std::int32_t>(rec.node_list.size()) != rec.nodes) {
+    return ct::Error::make("accounting: NodeList length mismatch");
+  }
+  if (!fields[10].empty()) {
+    for (const auto entry : ct::split(fields[10], ';')) {
+      const auto colon = entry.rfind(':');
+      if (colon == std::string_view::npos) {
+        return ct::Error::make("accounting: bad AllocGPUS entry");
+      }
+      const auto idx = oracle_node_index(topo, entry.substr(0, colon));
+      const long long slot = ct::parse_ll(entry.substr(colon + 1));
+      if (!idx || slot < 0 || slot >= topo.gpus_on_node(*idx)) {
+        return ct::Error::make("accounting: bad AllocGPUS device");
+      }
+      rec.gpu_list.push_back({*idx, static_cast<std::int32_t>(slot)});
+    }
+  }
+  if (static_cast<std::int32_t>(rec.gpu_list.size()) != rec.gpus) {
+    return ct::Error::make("accounting: AllocGPUS length mismatch");
+  }
+  return rec;
+}
+
+/// Both parsers accept or reject `line` alike, with the same message on a
+/// rejection and field-equal records on an acceptance.
+void expect_matches_oracle(std::string_view line, const cl::Topology& topo) {
+  const auto got = sl::parse_accounting_line(line, topo);
+  const auto want = oracle_parse_accounting_line(line, topo);
+  ASSERT_EQ(got.ok(), want.ok()) << line;
+  if (!got.ok()) {
+    EXPECT_EQ(got.error().message, want.error().message) << line;
+    return;
+  }
+  const auto& a = got.value();
+  const auto& b = want.value();
+  EXPECT_EQ(a.id, b.id) << line;
+  EXPECT_EQ(a.name, b.name) << line;
+  EXPECT_EQ(a.submit, b.submit) << line;
+  EXPECT_EQ(a.start, b.start) << line;
+  EXPECT_EQ(a.end, b.end) << line;
+  EXPECT_EQ(a.state, b.state) << line;
+  EXPECT_EQ(a.exit_code, b.exit_code) << line;
+  EXPECT_EQ(a.nodes, b.nodes) << line;
+  EXPECT_EQ(a.gpus, b.gpus) << line;
+  EXPECT_EQ(a.node_list, b.node_list) << line;
+  EXPECT_EQ(a.gpu_list, b.gpu_list) << line;
+}
+
+}  // namespace
+
+TEST_P(AccountingFuzz, MutantsMatchTheSplitOracle) {
+  const cl::Topology topo(cl::ClusterSpec::small(1, 1));
+  const auto seeds = accounting_seed_lines(topo);
+  ct::Rng rng(GetParam());
+  for (int trial = 0; trial < 6000; ++trial) {
+    const auto mutant = mutate(seeds[rng.uniform_u64(seeds.size())], rng);
+    ASSERT_NO_FATAL_FAILURE(expect_matches_oracle(mutant, topo));
+  }
+}
+
+TEST(AccountingRobustness, HandCasesMatchTheSplitOracle) {
+  const cl::Topology topo(cl::ClusterSpec::small(2, 1));
+  const std::string t = "2023-06-15T01:00:00";
+  const std::string head = "17|job|" + t + "|" + t + "|" + t + "|COMPLETED|";
+  const std::vector<std::string> lines = {
+      head + "0:0|1|1|gpua001|gpua001:0",                // well-formed
+      head + "0:0|1|1|gpua001",                          // 10 fields
+      head + "0:0|1|1|gpua001|gpua001:0|x",              // 12 fields
+      head + "0:0|1|1|gpua001|gpua001:0|",               // trailing '|'
+      head + "0:0|1|1|gpua001|gpua001:0||||",            // 15 fields
+      head + "0:0|3|1|gpua001,,gpua002|gpua001:0",       // empty host
+      head + "0:0|2|1|gpua001,|gpua001:0",               // trailing ','
+      head + "0:0|1|2|gpua001|gpua001:0;",               // trailing ';'
+      head + "0:0|1|2|gpua001|gpua001:0;;gpua001:1",     // empty device
+      head + "0:0|1|1|gpua001|gpua001",                  // device sans slot
+      head + "0:0|1|1|gpua001|gpua001:4",                // slot past the node
+      head + "0:0|1|1|gpub001|gpub001:7",                // 8-way slot
+      head + "0|1|1|gpua001|gpua001:0",                  // ExitCode "0"
+      head + "0:0:0|1|1|gpua001|gpua001:0",              // ExitCode "0:0:0"
+      head + ":0|1|1|gpua001|gpua001:0",                 // empty code
+      head + "3:9|2|2|gpua001,gpua002|gpua001:1;gpua002:3",
+      " 17|job|" + t + "|" + t + "|" + t +
+          "|COMPLETED| 0:0| 1 |1 |gpua001|gpua001: 0",   // padded numbers
+      head + "0:0|1|1|gpua003|gpua003:0",                // unknown host
+      head + "0:0|1|1|GPUA001|gpua001:0",                // wrong case
+      head + "0:0|1|1||",                                // empty lists
+      "",
+      "|",
+      std::string(sl::kAccountingHeader),
+  };
+  for (const auto& line : lines) {
+    ASSERT_NO_FATAL_FAILURE(expect_matches_oracle(line, topo));
+  }
+  // The count in the rejection stays exact past eleven fields.
+  const auto twelve = sl::parse_accounting_line(lines[2], topo);
+  ASSERT_FALSE(twelve.ok());
+  EXPECT_EQ(twelve.error().message, "accounting: expected 11 fields, got 12");
+  const auto fifteen = sl::parse_accounting_line(lines[4], topo);
+  ASSERT_FALSE(fifteen.ok());
+  EXPECT_EQ(fifteen.error().message, "accounting: expected 11 fields, got 15");
+  // The padded row and both ExitCode shapes are records, not rejections.
+  EXPECT_TRUE(sl::parse_accounting_line(lines[12], topo).ok());
+  EXPECT_TRUE(sl::parse_accounting_line(lines[13], topo).ok());
+  EXPECT_TRUE(sl::parse_accounting_line(lines[16], topo).ok());
 }
