@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <fstream>
+#include <optional>
+#include <variant>
 
 #include "analysis/dataset.h"
+#include "analysis/extraction.h"
+#include "cluster/topology.h"
 #include "common/io.h"
 #include "common/json.h"
 #include "common/rng.h"
@@ -37,6 +41,8 @@ std::string_view to_string(Fault fault) {
       return "zero-byte";
     case Fault::kIoFault:
       return "io-fault";
+    case Fault::kUnknownHost:
+      return "unknown-host";
   }
   return "unknown";
 }
@@ -63,6 +69,7 @@ constexpr FaultName kFaults[] = {
     {"bad-accounting", Fault::kBadAccounting, 3},
     {"zero-byte", Fault::kZeroByte, 1},
     {"io-fault", Fault::kIoFault, 1},
+    {"unknown-host", Fault::kUnknownHost, 2},
 };
 
 const FaultName* find_fault(std::string_view name) {
@@ -149,6 +156,7 @@ std::string CorruptionLedger::to_json() const {
   w.kv("accounting_missing", expect_accounting_missing);
   w.kv("accounting_rejected_rows", expect_accounting_rejected_rows);
   w.kv("accounting_rejected_bytes", expect_accounting_rejected_bytes);
+  w.kv("unknown_hosts", expect_unknown_hosts);
   w.end_object();
 
   w.key("io_fault");
@@ -276,6 +284,37 @@ bool skew_line(std::string& line) {
   return true;
 }
 
+/// Rename the host of up to `want` XID lines that Stage I would resolve on
+/// `topo`, so each becomes exactly one unknown-host drop; returns how many
+/// were renamed.  The new name keeps the old one visible ("ghost-gpua042")
+/// and is lengthened until the topology does not know it.
+std::uint64_t rename_hosts(std::vector<std::string>& lines,
+                           const cluster::Topology& topo,
+                           common::TimePoint day_start, std::uint64_t want,
+                           common::Rng& rng) {
+  const analysis::FastLineParser parser;
+  std::vector<std::size_t> candidates;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const auto parsed = parser.parse(lines[i], day_start);
+    const auto* x =
+        parsed ? std::get_if<analysis::XidRecord>(&*parsed) : nullptr;
+    if (x == nullptr) continue;
+    const auto node = topo.node_index(x->host);
+    if (node && topo.slot_for_pci(*node, x->pci)) candidates.push_back(i);
+  }
+  rng.shuffle(candidates);
+  const std::uint64_t n = std::min<std::uint64_t>(want, candidates.size());
+  for (std::uint64_t k = 0; k < n; ++k) {
+    std::string& line = lines[candidates[k]];
+    // The parser accepted the line, so its host is [16, first ' ' after).
+    const std::size_t host_end = line.find(' ', 16);
+    std::string ghost = "ghost-" + line.substr(16, host_end - 16);
+    while (topo.node_index(ghost)) ghost += 'x';
+    line.replace(16, host_end - 16, ghost);
+  }
+  return n;
+}
+
 /// What the corrupter will do to one day file.
 struct DayAction {
   Fault fault = Fault::kTruncate;
@@ -348,6 +387,7 @@ common::Result<CorruptionLedger> corrupt_dataset(const fs::path& src,
       case Fault::kGarbage:
       case Fault::kOverlong:
       case Fault::kDuplicate:
+      case Fault::kUnknownHost:
         // Line-level: all `count` lines land in one fresh day.
         for (const auto i : take_days(1)) {
           actions[i] = DayAction{f.fault, f.count, true};
@@ -368,6 +408,21 @@ common::Result<CorruptionLedger> corrupt_dataset(const fs::path& src,
         }
         break;
     }
+  }
+
+  // Unknown-host renames are chosen against the dataset's own topology, so
+  // every renamed line is a host Stage I would otherwise have resolved.
+  std::optional<cluster::Topology> topo;
+  if (std::any_of(spec.faults.begin(), spec.faults.end(),
+                  [](const FaultSpec& f) {
+                    return f.fault == Fault::kUnknownHost;
+                  })) {
+    auto manifest = analysis::read_manifest(src);
+    if (!manifest.ok()) {
+      return common::Error::make("chaos: unknown-host needs the manifest: " +
+                                 manifest.error().message);
+    }
+    topo.emplace(manifest.value().spec);
   }
 
   const auto note = [&ledger](Fault fault, const std::string& file,
@@ -469,6 +524,11 @@ common::Result<CorruptionLedger> corrupt_dataset(const fs::path& src,
         for (auto& line : lines) {
           if (skew_line(line)) ++applied;
         }
+        break;
+      case Fault::kUnknownHost:
+        applied = rename_hosts(lines, *topo, *analysis::day_file_date(name),
+                               act.count, fault_rng);
+        ledger.expect_unknown_hosts += applied;
         break;
       default:
         break;

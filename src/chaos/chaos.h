@@ -42,6 +42,7 @@ enum class Fault : std::uint8_t {
   kBadAccounting,      ///< malform accounting data rows (extra field)
   kZeroByte,           ///< truncate day files to zero bytes
   kIoFault,            ///< plan a mid-read I/O failure on one day file
+  kUnknownHost,        ///< rename the host of XID lines to one off the topology
 };
 
 std::string_view to_string(Fault fault);
@@ -98,6 +99,8 @@ struct CorruptionLedger {
   bool expect_accounting_missing = false;
   std::uint64_t expect_accounting_rejected_rows = 0;
   std::uint64_t expect_accounting_rejected_bytes = 0;
+  /// XID records Stage I must drop as unresolvable (pipe.unknown_hosts).
+  std::uint64_t expect_unknown_hosts = 0;
 
   // ---- runtime fault plan (not materialized on disk) ----
   /// When non-empty, arm common::IoFaultPlan{io_fault_path,

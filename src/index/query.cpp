@@ -183,7 +183,6 @@ CountResult QueryEngine::compute_count(const Predicate& p) const {
 ImpactResult QueryEngine::compute_impact(const Predicate& p) const {
   ImpactResult out;
   const auto order = xid::report_order();
-  const analysis::Period period{p.from, p.to};
 
   const auto job_end = reader_.job_end();
   const auto job_start = reader_.job_start();
@@ -194,6 +193,17 @@ ImpactResult QueryEngine::compute_impact(const Predicate& p) const {
   std::vector<std::uint64_t> encountering(order.size(), 0);
   std::vector<std::uint64_t> failed(order.size(), 0);
   std::vector<std::int32_t> node_scratch;
+
+  // End-ordered sweep.  Jobs are sorted by end time (proven at open), so a
+  // per-group cursor — one past the group's last entry with time <= the
+  // current job's end — only moves forward.  It is placed by one
+  // upper_bound the first time the call touches the group.
+  constexpr std::uint64_t kUntouched = ~std::uint64_t{0};
+  const auto loc_offsets = reader_.loc_offsets();
+  const auto loc_time = reader_.loc_time();
+  const auto loc_bit = reader_.loc_bit();
+  std::vector<std::uint64_t> cursor;
+  if (lo < hi) cursor.assign(reader_.loc_keys().size(), kUntouched);
 
   for (std::size_t idx = lo; idx < hi; ++idx) {
     const auto job_gpu = reader_.job_gpus(idx);
@@ -217,18 +227,34 @@ ImpactResult QueryEngine::compute_impact(const Predicate& p) const {
     std::uint32_t window_mask = 0;
     // Identical attribution to analysis::scan_job_range: strictly after the
     // job's start second, up to and including its end, restricted to errors
-    // inside the query period (the batch join bakes the period into its
-    // ErrorIndex; here it is a per-entry filter over the same sorted data).
-    const auto scan_group = [&](const IndexReader::LocGroup& g) {
-      std::size_t i = lower_idx(g.time, start + 1);
-      for (; i < g.time.size() && g.time[i] <= end; ++i) {
-        if (!period.contains(g.time[i])) continue;
-        run_mask |= 1u << g.bit[i];
-        if (g.time[i] >= end - window_) window_mask |= 1u << g.bit[i];
+    // inside the query period.  The walk runs backward from the cursor, so
+    // every entry it sees has time <= end < p.to; only `from` needs a test.
+    const auto scan_group = [&](std::size_t k) {
+      const std::uint64_t first = loc_offsets[k];
+      const std::uint64_t last = loc_offsets[k + 1];
+      std::uint64_t& c = cursor[k];
+      if (c == kUntouched) {
+        c = static_cast<std::uint64_t>(
+            std::upper_bound(loc_time.begin() + first,
+                             loc_time.begin() + last, end) -
+            loc_time.begin());
+      } else {
+        while (c < last && loc_time[c] <= end) ++c;
+      }
+      for (std::uint64_t i = c; i > first;) {
+        --i;
+        const std::int64_t t = loc_time[i];
+        if (t <= start || t < p.from) break;
+        run_mask |= 1u << loc_bit[i];
+        if (t >= end - window_) window_mask |= 1u << loc_bit[i];
       }
     };
     if (!node_level_) {
-      for (const std::int32_t g : job_gpu) scan_group(reader_.loc_at(g));
+      const std::size_t absent = cursor.size();
+      for (const std::int32_t g : job_gpu) {
+        const std::size_t k = reader_.loc_find(g);
+        if (k != absent) scan_group(k);
+      }
     } else {
       node_scratch.clear();
       for (const std::int32_t g : job_gpu) {
@@ -241,9 +267,7 @@ ImpactResult QueryEngine::compute_impact(const Predicate& p) const {
       for (const std::int32_t node : node_scratch) {
         const auto [klo, khi] = reader_.loc_key_range(
             analysis::pack_gpu(node, 0), analysis::pack_gpu(node, 0xff));
-        for (std::size_t k = klo; k < khi; ++k) {
-          scan_group(reader_.loc_group(k));
-        }
+        for (std::size_t k = klo; k < khi; ++k) scan_group(k);
       }
     }
     if (run_mask == 0) continue;

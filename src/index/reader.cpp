@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cstring>
+#include <limits>
 
 #include "common/hash.h"
 #include "index/format.h"
@@ -16,6 +17,12 @@ namespace {
 common::Error at(std::string msg, const std::string& path,
                  std::uint64_t offset) {
   return common::Error::at(std::move(msg), path, std::nullopt, offset);
+}
+
+/// The failure of a column invariant.  Cold: no passing check calls it.
+[[gnu::cold, gnu::noinline]] common::Error invariant_violated(
+    const char* what, const std::string& path, std::uint64_t offset) {
+  return at(std::string("index invariant violated: ") + what, path, offset);
 }
 
 struct Section {
@@ -299,133 +306,109 @@ common::Result<IndexReader> IndexReader::open(const std::string& path) {
 
   // ---- column invariants ----------------------------------------------------
   // Everything binary search or CSR indexing relies on is proven here, once,
-  // so per-query code can trust the views unconditionally.
-  const auto check = [&](bool ok, std::string msg,
-                         SectionId id) -> common::Status {
-    if (ok) return common::Status::ok_status();
-    return at("index invariant violated: " + std::move(msg), path,
-              sec(id).offset);
+  // so per-query code can trust the views unconditionally.  A passing check
+  // costs a compare: the located error is built only by `fail`, on the cold
+  // path.
+  const auto fail = [&](const char* what, SectionId id) {
+    return invariant_violated(what, path, sec(id).offset);
   };
   const std::int64_t max_key =
       (static_cast<std::int64_t>(meta.node_count) << 8) - 1;
   for (std::size_t i = 0; i + 1 < r.name_offsets_.size(); ++i) {
-    if (auto s = check(r.name_offsets_[i] <= r.name_offsets_[i + 1],
-                       "node-name offsets must be nondecreasing",
-                       SectionId::kNodeNameOffsets);
-        !s.ok()) {
-      return s.error();
+    if (!(r.name_offsets_[i] <= r.name_offsets_[i + 1])) [[unlikely]] {
+      return fail("node-name offsets must be nondecreasing",
+                  SectionId::kNodeNameOffsets);
     }
   }
   for (std::size_t i = 0; i < r.err_time_.size(); ++i) {
-    if (auto s = check(i == 0 || r.err_time_[i - 1] <= r.err_time_[i],
-                       "error times must be nondecreasing",
-                       SectionId::kErrTime);
-        !s.ok()) {
-      return s.error();
+    if (!(i == 0 || r.err_time_[i - 1] <= r.err_time_[i])) [[unlikely]] {
+      return fail("error times must be nondecreasing", SectionId::kErrTime);
     }
-    if (auto s = check(r.err_gpu_[i] >= 0 && r.err_gpu_[i] <= max_key,
-                       "error GPU key out of topology range",
-                       SectionId::kErrGpu);
-        !s.ok()) {
-      return s.error();
+    if (!(r.err_gpu_[i] >= 0 && r.err_gpu_[i] <= max_key)) [[unlikely]] {
+      return fail("error GPU key out of topology range", SectionId::kErrGpu);
     }
   }
+  // The key directory: node_keys_[n] is the first key on node n or later,
+  // so node n's keys are [node_keys_[n], node_keys_[n + 1]).  Its size is
+  // bounded by the name-offset section, which holds node_count + 1 entries.
+  r.node_keys_.assign(nodes1, 0);
+  std::size_t next_node = 0;
   for (std::size_t i = 0; i < r.loc_keys_.size(); ++i) {
-    if (auto s = check(i == 0 || r.loc_keys_[i - 1] < r.loc_keys_[i],
-                       "location keys must be strictly increasing",
-                       SectionId::kLocKeys);
-        !s.ok()) {
-      return s.error();
+    if (!(i == 0 || r.loc_keys_[i - 1] < r.loc_keys_[i])) [[unlikely]] {
+      return fail("location keys must be strictly increasing",
+                  SectionId::kLocKeys);
     }
-    if (auto s = check(r.loc_keys_[i] >= 0 && r.loc_keys_[i] <= max_key,
-                       "location key out of topology range",
-                       SectionId::kLocKeys);
-        !s.ok()) {
-      return s.error();
+    if (!(r.loc_keys_[i] >= 0 && r.loc_keys_[i] <= max_key)) [[unlikely]] {
+      return fail("location key out of topology range", SectionId::kLocKeys);
     }
+    const auto node = static_cast<std::size_t>(r.loc_keys_[i] >> 8);
+    for (; next_node <= node; ++next_node) r.node_keys_[next_node] = i;
+  }
+  for (; next_node < nodes1; ++next_node) {
+    r.node_keys_[next_node] = r.loc_keys_.size();
   }
   for (std::size_t i = 0; i < r.loc_offsets_.size(); ++i) {
     const bool mono = i == 0 ? r.loc_offsets_[0] == 0
                              : r.loc_offsets_[i - 1] <= r.loc_offsets_[i];
-    if (auto s = check(mono && r.loc_offsets_[i] <= meta.loc_entry_count,
-                       "location offsets must be nondecreasing and in range",
-                       SectionId::kLocOffsets);
-        !s.ok()) {
-      return s.error();
+    if (!(mono && r.loc_offsets_[i] <= meta.loc_entry_count)) [[unlikely]] {
+      return fail("location offsets must be nondecreasing and in range",
+                  SectionId::kLocOffsets);
     }
   }
-  if (auto s = check(r.loc_offsets_.back() == meta.loc_entry_count,
-                     "location offsets must cover every entry",
-                     SectionId::kLocOffsets);
-      !s.ok()) {
-    return s.error();
+  if (!(r.loc_offsets_.back() == meta.loc_entry_count)) [[unlikely]] {
+    return fail("location offsets must cover every entry",
+                SectionId::kLocOffsets);
   }
   for (std::size_t k = 0; k + 1 < r.loc_offsets_.size(); ++k) {
     for (std::uint64_t i = r.loc_offsets_[k] + 1; i < r.loc_offsets_[k + 1];
          ++i) {
-      if (auto s = check(r.loc_time_[i - 1] <= r.loc_time_[i],
-                         "location entries must be time-sorted per key",
-                         SectionId::kLocTime);
-          !s.ok()) {
-        return s.error();
+      if (!(r.loc_time_[i - 1] <= r.loc_time_[i])) [[unlikely]] {
+        return fail("location entries must be time-sorted per key",
+                    SectionId::kLocTime);
       }
     }
   }
   for (const std::uint32_t b : r.loc_bit_) {
-    if (auto s = check(b < xid::report_order().size(),
-                       "location bit out of family range", SectionId::kLocBit);
-        !s.ok()) {
-      return s.error();
+    if (!(b < xid::report_order().size())) [[unlikely]] {
+      return fail("location bit out of family range", SectionId::kLocBit);
     }
   }
   for (std::size_t i = 1; i < r.job_end_.size(); ++i) {
-    if (auto s = check(r.job_end_[i - 1] <= r.job_end_[i],
-                       "job end times must be nondecreasing",
-                       SectionId::kJobEnd);
-        !s.ok()) {
-      return s.error();
+    if (!(r.job_end_[i - 1] <= r.job_end_[i])) [[unlikely]] {
+      return fail("job end times must be nondecreasing", SectionId::kJobEnd);
     }
   }
   for (std::size_t i = 0; i < r.job_gpu_offsets_.size(); ++i) {
     const bool mono = i == 0 ? r.job_gpu_offsets_[0] == 0
                              : r.job_gpu_offsets_[i - 1] <=
                                    r.job_gpu_offsets_[i];
-    if (auto s = check(mono && r.job_gpu_offsets_[i] <= meta.job_gpu_count,
-                       "job GPU offsets must be nondecreasing and in range",
-                       SectionId::kJobGpuOffsets);
-        !s.ok()) {
-      return s.error();
+    if (!(mono && r.job_gpu_offsets_[i] <= meta.job_gpu_count)) [[unlikely]] {
+      return fail("job GPU offsets must be nondecreasing and in range",
+                  SectionId::kJobGpuOffsets);
     }
   }
-  if (auto s = check(r.job_gpu_offsets_.empty() ||
-                         r.job_gpu_offsets_.back() == meta.job_gpu_count,
-                     "job GPU offsets must cover every allocation",
-                     SectionId::kJobGpuOffsets);
-      !s.ok()) {
-    return s.error();
+  if (!(r.job_gpu_offsets_.empty() ||
+        r.job_gpu_offsets_.back() == meta.job_gpu_count)) [[unlikely]] {
+    return fail("job GPU offsets must cover every allocation",
+                SectionId::kJobGpuOffsets);
   }
   for (const std::int32_t g : r.job_gpu_list_) {
-    if (auto s = check(g >= 0 && g <= max_key,
-                       "job GPU key out of topology range",
-                       SectionId::kJobGpuList);
-        !s.ok()) {
-      return s.error();
+    if (!(g >= 0 && g <= max_key)) [[unlikely]] {
+      return fail("job GPU key out of topology range",
+                  SectionId::kJobGpuList);
     }
   }
   for (std::size_t i = 0; i < r.unavail_node_.size(); ++i) {
-    if (auto s = check(r.unavail_node_[i] >= 0 &&
-                           static_cast<std::uint32_t>(r.unavail_node_[i]) <
-                               meta.node_count,
-                       "unavailability node out of topology range",
-                       SectionId::kUnavailNode);
-        !s.ok()) {
-      return s.error();
+    if (!(r.unavail_node_[i] >= 0 &&
+          static_cast<std::uint32_t>(r.unavail_node_[i]) < meta.node_count))
+        [[unlikely]] {
+      return fail("unavailability node out of topology range",
+                  SectionId::kUnavailNode);
     }
-    if (auto s = check(i == 0 || r.unavail_begin_[i - 1] <= r.unavail_begin_[i],
-                       "unavailability intervals must be begin-sorted",
-                       SectionId::kUnavailBegin);
-        !s.ok()) {
-      return s.error();
+    if (!(i == 0 || r.unavail_begin_[i - 1] <= r.unavail_begin_[i]))
+        [[unlikely]] {
+      return fail("unavailability intervals must be begin-sorted",
+                  SectionId::kUnavailBegin);
     }
   }
   return r;
@@ -445,18 +428,35 @@ std::optional<std::int32_t> IndexReader::node_index(
   return std::nullopt;
 }
 
+std::size_t IndexReader::loc_lower(std::int64_t key) const {
+  if (key <= 0) return 0;
+  const auto node = static_cast<std::uint64_t>(key >> 8);
+  if (node >= meta_.node_count) return loc_keys_.size();
+  std::size_t k = node_keys_[node];
+  const std::size_t end = node_keys_[node + 1];
+  while (k < end && loc_keys_[k] < key) ++k;
+  return k;
+}
+
+std::size_t IndexReader::loc_find(std::int64_t key) const {
+  const std::size_t k = loc_lower(key);
+  return k < loc_keys_.size() && loc_keys_[k] == key ? k : loc_keys_.size();
+}
+
 IndexReader::LocGroup IndexReader::loc_at(std::int64_t key) const {
-  const auto it = std::lower_bound(loc_keys_.begin(), loc_keys_.end(), key);
-  if (it == loc_keys_.end() || *it != key) return {};
-  return loc_group(static_cast<std::size_t>(it - loc_keys_.begin()));
+  const std::size_t k = loc_find(key);
+  if (k == loc_keys_.size()) return {};
+  return loc_group(k);
 }
 
 std::pair<std::size_t, std::size_t> IndexReader::loc_key_range(
     std::int64_t key_lo, std::int64_t key_hi) const {
-  const auto lo = std::lower_bound(loc_keys_.begin(), loc_keys_.end(), key_lo);
-  const auto hi = std::upper_bound(lo, loc_keys_.end(), key_hi);
-  return {static_cast<std::size_t>(lo - loc_keys_.begin()),
-          static_cast<std::size_t>(hi - loc_keys_.begin())};
+  const std::size_t lo = loc_lower(key_lo);
+  const std::size_t hi =
+      key_hi == std::numeric_limits<std::int64_t>::max()
+          ? loc_keys_.size()
+          : loc_lower(key_hi + 1);
+  return {lo, std::max(lo, hi)};
 }
 
 IndexReader::LocGroup IndexReader::loc_group(std::size_t key_idx) const {

@@ -4,6 +4,8 @@
 // tag, version, header hash, table hash, per-section hashes, section
 // geometry, column invariants), and only then exposes typed column views
 // straight into the mapping — no deserialization, no allocation per query.
+// Its one allocation is a per-node directory into the location keys, sized
+// by the node count, never by the error or job count.
 //
 // Lifetime and aliasing rules: every span returned by a reader aliases the
 // mapping and is valid exactly as long as the IndexReader that produced it
@@ -23,6 +25,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "analysis/periods.h"
 #include "common/error.h"
@@ -90,6 +93,10 @@ class IndexReader {
     std::span<const std::uint32_t> bit;
   };
   LocGroup loc_at(std::int64_t key) const;
+  /// Index of `key` in loc_keys(), or loc_keys().size() when it is absent.
+  /// Like loc_at and loc_key_range, a lookup in the per-node key directory
+  /// built at open plus a scan of that node's keys (one per GPU).
+  std::size_t loc_find(std::int64_t key) const;
   /// Index range [lo, hi) of loc_keys() whose keys fall in [key_lo, key_hi].
   std::pair<std::size_t, std::size_t> loc_key_range(std::int64_t key_lo,
                                                     std::int64_t key_hi) const;
@@ -116,6 +123,8 @@ class IndexReader {
 
  private:
   IndexReader() = default;
+  /// First index of loc_keys() whose key is >= `key`.
+  std::size_t loc_lower(std::int64_t key) const;
 
   common::MappedFile file_;
   IndexMeta meta_;
@@ -141,6 +150,10 @@ class IndexReader {
   std::span<const std::int32_t> unavail_node_;
   std::span<const std::int64_t> unavail_begin_;
   std::span<const std::int64_t> unavail_end_;
+  /// node_count + 1 offsets into loc_keys_: node n's keys are
+  /// [node_keys_[n], node_keys_[n + 1]).  Filled while open proves the keys
+  /// strictly increasing and in range.
+  std::vector<std::size_t> node_keys_;
 };
 
 }  // namespace gpures::index

@@ -93,6 +93,7 @@ struct LoadOutcome {
   std::uint64_t days = 0;
   std::vector<an::CoalescedError> errors;
   std::size_t jobs = 0;
+  std::uint64_t unknown_hosts = 0;  ///< pipe.unknown_hosts after the drain
 };
 
 LoadOutcome load(const fs::path& dir, an::IngestPolicy policy,
@@ -108,6 +109,7 @@ LoadOutcome load(const fs::path& dir, an::IngestPolicy policy,
     out.days = out.quality.days_present;
     out.errors = s.errors();
     out.jobs = s.jobs().jobs.size();
+    out.unknown_hosts = s.counters().unknown_hosts;
   } else {
     out.error = st.error();
   }
@@ -508,6 +510,42 @@ TEST(Chaos, AccountingErrorBudgetAborts) {
   fs::remove_all(dst);
 }
 
+TEST(Chaos, UnknownHostDropsReconcileWithStageOne) {
+  // Renamed hosts are matched-but-unresolvable XID records: neither policy
+  // quarantines them, and Stage I drops exactly the ledger's count.
+  const auto src = make_clean_dataset("ghost", 6);
+  const auto dst = temp_dir("ghost_out");
+  const auto ledger = corrupt(src, dst, 19, "unknown-host:2");
+  EXPECT_EQ(ledger.expect_unknown_hosts, 2u);
+  ASSERT_EQ(ledger.applied.size(), 1u);
+  EXPECT_EQ(ledger.applied[0].fault, "unknown-host");
+  const auto clean = load(src, an::IngestPolicy::kLenient);
+  ASSERT_TRUE(clean.ok) << clean.error.message;
+  EXPECT_EQ(clean.unknown_hosts, 0u);
+  for (const auto policy :
+       {an::IngestPolicy::kStrict, an::IngestPolicy::kLenient}) {
+    for (const std::uint32_t threads : {0u, 4u}) {
+      const auto r = load(dst, policy, 0, threads);
+      ASSERT_TRUE(r.ok) << r.error.message;
+      reconcile(ledger, r.quality);
+      EXPECT_TRUE(r.quality.clean());
+      EXPECT_EQ(r.unknown_hosts, ledger.expect_unknown_hosts);
+      EXPECT_EQ(r.errors.size() + ledger.expect_unknown_hosts,
+                clean.errors.size());
+    }
+  }
+  // Asking for more lines than the day holds renames every XID line of it.
+  const auto dst_all = temp_dir("ghost_all_out");
+  const auto greedy = corrupt(src, dst_all, 19, "unknown-host:50");
+  EXPECT_EQ(greedy.expect_unknown_hosts, 2u);
+  const auto r = load(dst_all, an::IngestPolicy::kLenient);
+  ASSERT_TRUE(r.ok) << r.error.message;
+  EXPECT_EQ(r.unknown_hosts, 2u);
+  fs::remove_all(src);
+  fs::remove_all(dst);
+  fs::remove_all(dst_all);
+}
+
 // ---- the whole matrix at once ----
 
 TEST(Chaos, FullMatrixReconcilesExactlyAtAnyThreadCount) {
@@ -524,9 +562,11 @@ TEST(Chaos, FullMatrixReconcilesExactlyAtAnyThreadCount) {
   parallel = load(dst, an::IngestPolicy::kLenient, 0, 4);
   ct::set_io_fault_plan(nullptr);
 
+  EXPECT_GT(ledger.expect_unknown_hosts, 0u);
   for (const auto* r : {&serial, &parallel}) {
     ASSERT_TRUE(r->ok) << r->error.message;
     reconcile(ledger, r->quality);
+    EXPECT_EQ(r->unknown_hosts, ledger.expect_unknown_hosts);
     EXPECT_EQ(r->quality.skipped_days.size(), ledger.expect_skipped_days);
     EXPECT_FALSE(r->quality.clean());
     // The report is internally consistent: per-day tallies sum to totals.

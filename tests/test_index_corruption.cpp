@@ -7,8 +7,10 @@
 // sweep flips one bit anywhere and demands the integrity chain catches it.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -17,11 +19,13 @@
 #include "analysis/job_stats.h"
 #include "chaos/index_chaos.h"
 #include "cluster/topology.h"
+#include "common/hash.h"
 #include "common/io.h"
 #include "common/rng.h"
 #include "index/format.h"
 #include "index/reader.h"
 #include "index/writer.h"
+#include "xid/xid.h"
 
 namespace an = gpures::analysis;
 namespace ch = gpures::chaos;
@@ -279,4 +283,249 @@ TEST_F(IndexCorruption, CorruptFileHelperRoundTrips) {
   // Source untouched, destination corrupt.
   EXPECT_TRUE(ix::IndexReader::open(src).ok());
   EXPECT_FALSE(ix::IndexReader::open(dst).ok());
+}
+
+// ---- column invariants ------------------------------------------------------
+// Every invariant open proves after the checksums (the ones binary search and
+// CSR indexing rely on) must fail closed on its own: each case breaks exactly
+// one column element, re-seals the section hash, the table hash and the
+// header hash so the integrity chain passes, and demands open reports that
+// invariant — exact message, and the offending section's byte offset.
+
+namespace {
+
+struct SectionSpan {
+  std::uint64_t offset = 0;
+  std::uint64_t size = 0;
+};
+
+unsigned char* byte_at(std::string& bytes, std::uint64_t off) {
+  return reinterpret_cast<unsigned char*>(bytes.data()) + off;
+}
+
+std::uint64_t entry_offset(ix::SectionId id) {
+  return ix::kSectionTableOffset +
+         (static_cast<std::uint64_t>(id) - 1) * ix::kSectionEntrySize;
+}
+
+SectionSpan section_of(std::string& bytes, ix::SectionId id) {
+  const unsigned char* e = byte_at(bytes, entry_offset(id));
+  return {ix::load_le64(e + 8), ix::load_le64(e + 16)};
+}
+
+/// Recompute the section's hash, then the table hash, then the header hash.
+void reseal(std::string& bytes, ix::SectionId id) {
+  const auto s = section_of(bytes, id);
+  ix::store_le64(byte_at(bytes, entry_offset(id) + 24),
+                 ct::xxhash64(bytes.data() + s.offset, s.size));
+  ix::store_le64(byte_at(bytes, ix::kOffTableHash),
+                 ct::xxhash64(bytes.data() + ix::kSectionTableOffset,
+                              ix::kSectionCount * ix::kSectionEntrySize));
+  ix::store_le64(byte_at(bytes, ix::kOffHeaderHash),
+                 ct::xxhash64(bytes.data(), ix::kHeaderHashedBytes));
+}
+
+template <typename T>
+std::uint64_t element_count(std::string& bytes, ix::SectionId id) {
+  return section_of(bytes, id).size / sizeof(T);  // includes padding slots
+}
+
+template <typename T>
+T peek(std::string& bytes, ix::SectionId id, std::uint64_t i) {
+  T v;
+  std::memcpy(&v, byte_at(bytes, section_of(bytes, id).offset + i * sizeof(T)),
+              sizeof(T));
+  return v;
+}
+
+template <typename T>
+void poke(std::string& bytes, ix::SectionId id, std::uint64_t i, T v) {
+  std::memcpy(byte_at(bytes, section_of(bytes, id).offset + i * sizeof(T)), &v,
+              sizeof(T));
+}
+
+}  // namespace
+
+class IndexInvariant : public IndexCorruption {
+ protected:
+  /// Apply `mutate` to a copy of the pristine artifact, re-seal `id`, and
+  /// expect open to fail on the invariant `what` located at `id`'s offset.
+  template <typename Mutate>
+  void expect_invariant(ix::SectionId id, const std::string& what,
+                        Mutate mutate) {
+    std::string bytes = pristine_;
+    mutate(bytes);
+    reseal(bytes, id);
+    ASSERT_NE(bytes, pristine_) << "mutation changed nothing";
+    const auto path = write("invariant.idx", bytes);
+    const auto opened = ix::IndexReader::open(path);
+    ASSERT_FALSE(opened.ok()) << what << ": broken column opened";
+    const auto& err = opened.error();
+    const std::uint64_t offset = section_of(bytes, id).offset;
+    EXPECT_EQ(err.message, "index invariant violated: " + what + " [" + path +
+                               ", byte " + std::to_string(offset) + "]");
+    EXPECT_EQ(err.file, path);
+    EXPECT_EQ(err.offset, std::optional<std::uint64_t>(offset));
+  }
+
+  /// One past the largest packed GPU key the fixture topology allows.
+  static std::int64_t past_max_key() {
+    return static_cast<std::int64_t>(topo_->node_count()) << 8;
+  }
+};
+
+TEST_F(IndexInvariant, NodeNameOffsetsNondecreasing) {
+  using S = ix::SectionId;
+  expect_invariant(S::kNodeNameOffsets,
+                   "node-name offsets must be nondecreasing",
+                   [](std::string& b) {
+                     poke<std::uint32_t>(
+                         b, S::kNodeNameOffsets, 1,
+                         peek<std::uint32_t>(b, S::kNodeNameOffsets, 2) + 1);
+                   });
+}
+
+TEST_F(IndexInvariant, ErrorTimesNondecreasing) {
+  using S = ix::SectionId;
+  expect_invariant(S::kErrTime, "error times must be nondecreasing",
+                   [](std::string& b) {
+                     poke<std::int64_t>(
+                         b, S::kErrTime, 0,
+                         peek<std::int64_t>(b, S::kErrTime, 1) + 1);
+                   });
+}
+
+TEST_F(IndexInvariant, ErrorGpuInTopologyRange) {
+  using S = ix::SectionId;
+  expect_invariant(S::kErrGpu, "error GPU key out of topology range",
+                   [](std::string& b) {
+                     poke<std::int32_t>(
+                         b, S::kErrGpu, 3,
+                         static_cast<std::int32_t>(past_max_key()));
+                   });
+}
+
+TEST_F(IndexInvariant, LocationKeysStrictlyIncreasing) {
+  using S = ix::SectionId;
+  expect_invariant(S::kLocKeys, "location keys must be strictly increasing",
+                   [](std::string& b) {
+                     poke<std::int64_t>(b, S::kLocKeys, 1,
+                                        peek<std::int64_t>(b, S::kLocKeys, 0));
+                   });
+}
+
+TEST_F(IndexInvariant, LocationKeysInTopologyRange) {
+  using S = ix::SectionId;
+  // The last key is raised past the range, so the keys stay strictly
+  // increasing and only the range check can fire.
+  expect_invariant(S::kLocKeys, "location key out of topology range",
+                   [](std::string& b) {
+                     const auto last =
+                         element_count<std::int64_t>(b, S::kLocKeys) - 1;
+                     poke<std::int64_t>(b, S::kLocKeys, last, past_max_key());
+                   });
+}
+
+TEST_F(IndexInvariant, LocationOffsetsNondecreasingAndInRange) {
+  using S = ix::SectionId;
+  expect_invariant(S::kLocOffsets,
+                   "location offsets must be nondecreasing and in range",
+                   [](std::string& b) {
+                     poke<std::uint64_t>(b, S::kLocOffsets, 0, 1);
+                   });
+}
+
+TEST_F(IndexInvariant, LocationOffsetsCoverEveryEntry) {
+  using S = ix::SectionId;
+  expect_invariant(S::kLocOffsets, "location offsets must cover every entry",
+                   [](std::string& b) {
+                     const auto last =
+                         element_count<std::uint64_t>(b, S::kLocOffsets) - 1;
+                     poke<std::uint64_t>(
+                         b, S::kLocOffsets, last,
+                         peek<std::uint64_t>(b, S::kLocOffsets, last) - 1);
+                   });
+}
+
+TEST_F(IndexInvariant, LocationEntriesTimeSortedPerKey) {
+  using S = ix::SectionId;
+  // Group 0 holds at least two entries (the fixture revisits every GPU).
+  expect_invariant(S::kLocTime, "location entries must be time-sorted per key",
+                   [](std::string& b) {
+                     ASSERT_GE(peek<std::uint64_t>(b, S::kLocOffsets, 1), 2u);
+                     poke<std::int64_t>(
+                         b, S::kLocTime, 0,
+                         peek<std::int64_t>(b, S::kLocTime, 1) + 1);
+                   });
+}
+
+TEST_F(IndexInvariant, LocationBitInFamilyRange) {
+  using S = ix::SectionId;
+  expect_invariant(S::kLocBit, "location bit out of family range",
+                   [](std::string& b) {
+                     poke<std::uint32_t>(b, S::kLocBit, 2,
+                                         static_cast<std::uint32_t>(
+                                             gpures::xid::report_order().size()));
+                   });
+}
+
+TEST_F(IndexInvariant, JobEndsNondecreasing) {
+  using S = ix::SectionId;
+  expect_invariant(S::kJobEnd, "job end times must be nondecreasing",
+                   [](std::string& b) {
+                     poke<std::int64_t>(
+                         b, S::kJobEnd, 4,
+                         peek<std::int64_t>(b, S::kJobEnd, 5) + 1);
+                   });
+}
+
+TEST_F(IndexInvariant, JobGpuOffsetsNondecreasingAndInRange) {
+  using S = ix::SectionId;
+  expect_invariant(S::kJobGpuOffsets,
+                   "job GPU offsets must be nondecreasing and in range",
+                   [](std::string& b) {
+                     poke<std::uint64_t>(b, S::kJobGpuOffsets, 0, 1);
+                   });
+}
+
+TEST_F(IndexInvariant, JobGpuOffsetsCoverEveryAllocation) {
+  using S = ix::SectionId;
+  expect_invariant(S::kJobGpuOffsets,
+                   "job GPU offsets must cover every allocation",
+                   [](std::string& b) {
+                     const auto last =
+                         element_count<std::uint64_t>(b, S::kJobGpuOffsets) - 1;
+                     poke<std::uint64_t>(
+                         b, S::kJobGpuOffsets, last,
+                         peek<std::uint64_t>(b, S::kJobGpuOffsets, last) - 1);
+                   });
+}
+
+TEST_F(IndexInvariant, JobGpuKeysInTopologyRange) {
+  using S = ix::SectionId;
+  expect_invariant(S::kJobGpuList, "job GPU key out of topology range",
+                   [](std::string& b) {
+                     poke<std::int32_t>(b, S::kJobGpuList, 7, -1);
+                   });
+}
+
+TEST_F(IndexInvariant, UnavailabilityNodeInTopologyRange) {
+  using S = ix::SectionId;
+  expect_invariant(S::kUnavailNode,
+                   "unavailability node out of topology range",
+                   [](std::string& b) {
+                     poke<std::int32_t>(b, S::kUnavailNode, 1,
+                                        topo_->node_count());
+                   });
+}
+
+TEST_F(IndexInvariant, UnavailabilityBeginSorted) {
+  using S = ix::SectionId;
+  expect_invariant(S::kUnavailBegin,
+                   "unavailability intervals must be begin-sorted",
+                   [](std::string& b) {
+                     poke<std::int64_t>(
+                         b, S::kUnavailBegin, 2,
+                         peek<std::int64_t>(b, S::kUnavailBegin, 3) + 1);
+                   });
 }

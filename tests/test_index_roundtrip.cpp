@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -171,6 +172,37 @@ TEST(IndexRoundTrip, ErrorColumnsSurviveWriteAndMmapRead) {
       EXPECT_EQ(group.bit[i], entries[i].bit);
     }
   }
+
+  // The per-node key directory answers every key and key range exactly as a
+  // binary search over the keys does, including keys off the topology.
+  const auto keys = reader.loc_keys();
+  const auto lower = [&](std::int64_t key) {
+    return static_cast<std::size_t>(
+        std::lower_bound(keys.begin(), keys.end(), key) - keys.begin());
+  };
+  const std::int64_t past =
+      static_cast<std::int64_t>(reader.meta().node_count) << 8;
+  for (std::int64_t key = -2; key <= past + 2; ++key) {
+    const std::size_t at = lower(key);
+    const bool present = at < keys.size() && keys[at] == key;
+    EXPECT_EQ(reader.loc_find(key), present ? at : keys.size()) << key;
+    const std::int64_t node = key >> 8;
+    const auto [lo, hi] =
+        reader.loc_key_range(an::pack_gpu(static_cast<std::int32_t>(node), 0),
+                             an::pack_gpu(static_cast<std::int32_t>(node), 0xff));
+    EXPECT_EQ(lo, lower(node << 8)) << key;
+    EXPECT_EQ(hi, lower((node + 1) << 8)) << key;
+    const auto [a, b] = reader.loc_key_range(key, key + 5);
+    EXPECT_EQ(a, at) << key;
+    EXPECT_EQ(b, lower(key + 6)) << key;
+  }
+  const auto [all_lo, all_hi] = reader.loc_key_range(
+      std::numeric_limits<std::int64_t>::min(),
+      std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(all_lo, 0u);
+  EXPECT_EQ(all_hi, keys.size());
+  EXPECT_EQ(reader.loc_key_range(10, 3).first,
+            reader.loc_key_range(10, 3).second);
 }
 
 TEST(IndexRoundTrip, JobAndUnavailabilityColumnsSurvive) {

@@ -10,7 +10,7 @@
 //
 // Fault spec: comma-separated "fault[:count]" from
 //   truncate garbage overlong duplicate reorder missing-day
-//   missing-accounting skew bad-accounting zero-byte io-fault
+//   missing-accounting skew bad-accounting zero-byte io-fault unknown-host
 // or "all" for the full matrix (minus missing-accounting) with defaults.
 #include <cstdio>
 #include <cstdlib>
@@ -187,7 +187,8 @@ int main(int argc, char** argv) {
        {"missing_days", l.expect_missing_days},
        {"zero_byte_days", l.expect_zero_byte_days},
        {"accounting_missing", l.expect_accounting_missing},
-       {"accounting_rejected_rows", l.expect_accounting_rejected_rows}});
+       {"accounting_rejected_rows", l.expect_accounting_rejected_rows},
+       {"unknown_hosts", l.expect_unknown_hosts}});
   if (!l.io_fault_path.empty()) {
     logger.info("corrupt", "planned I/O fault armed",
                 {{"path", l.io_fault_path},
