@@ -13,18 +13,19 @@
 #include <memory>
 
 #include "analysis/campaign.h"
+#include "analyzed_campaign.h"
 #include "common/table.h"
 
 namespace {
 
 using namespace gpures;
 
-const analysis::DeltaCampaign& campaign() {
+const bench::AnalyzedCampaign& campaign() {
   static const auto c = [] {
     analysis::CampaignConfig cfg = analysis::CampaignConfig::quick();
     cfg.seed = 5;
     cfg.with_jobs = false;
-    auto campaign = std::make_unique<analysis::DeltaCampaign>(cfg);
+    auto campaign = std::make_unique<bench::AnalyzedCampaign>(cfg);
     campaign->run();
     return campaign;
   }();

@@ -9,16 +9,17 @@
 #include "analysis/campaign.h"
 #include "analysis/reports.h"
 #include "analysis/paper_reference.h"
+#include "analyzed_campaign.h"
 
 namespace {
 
 using namespace gpures;
 
-const analysis::DeltaCampaign& campaign() {
+const bench::AnalyzedCampaign& campaign() {
   static const auto c = [] {
     analysis::CampaignConfig cfg = analysis::CampaignConfig::delta_a100();
     cfg.seed = 4;
-    auto campaign = std::make_unique<analysis::DeltaCampaign>(cfg);
+    auto campaign = std::make_unique<bench::AnalyzedCampaign>(cfg);
     campaign->run();
     return campaign;
   }();

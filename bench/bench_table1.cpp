@@ -14,17 +14,18 @@
 #include "analysis/paper_reference.h"
 #include "analysis/reports.h"
 #include "analysis/reproduction.h"
+#include "analyzed_campaign.h"
 #include "common/table.h"
 
 namespace {
 
 using namespace gpures;
 
-std::unique_ptr<analysis::DeltaCampaign> run_campaign() {
+std::unique_ptr<bench::AnalyzedCampaign> run_campaign() {
   analysis::CampaignConfig cfg = analysis::CampaignConfig::delta_a100();
   cfg.with_jobs = false;  // Table I is job-independent
   cfg.seed = 1;
-  auto campaign = std::make_unique<analysis::DeltaCampaign>(cfg);
+  auto campaign = std::make_unique<bench::AnalyzedCampaign>(cfg);
   campaign->run();
   return campaign;
 }

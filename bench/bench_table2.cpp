@@ -10,20 +10,21 @@
 #include "analysis/reports.h"
 #include "common/table.h"
 #include "analysis/paper_reference.h"
+#include "analyzed_campaign.h"
 
 namespace {
 
 using namespace gpures;
 
-std::unique_ptr<analysis::DeltaCampaign> run_campaign() {
+std::unique_ptr<bench::AnalyzedCampaign> run_campaign() {
   analysis::CampaignConfig cfg = analysis::CampaignConfig::delta_a100();
   cfg.seed = 2;
-  auto campaign = std::make_unique<analysis::DeltaCampaign>(cfg);
+  auto campaign = std::make_unique<bench::AnalyzedCampaign>(cfg);
   campaign->run();
   return campaign;
 }
 
-const analysis::DeltaCampaign& campaign() {
+const bench::AnalyzedCampaign& campaign() {
   static const auto c = run_campaign();
   return *c;
 }

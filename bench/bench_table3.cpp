@@ -10,16 +10,17 @@
 #include "analysis/reports.h"
 #include "common/table.h"
 #include "analysis/paper_reference.h"
+#include "analyzed_campaign.h"
 
 namespace {
 
 using namespace gpures;
 
-const analysis::DeltaCampaign& campaign() {
+const bench::AnalyzedCampaign& campaign() {
   static const auto c = [] {
     analysis::CampaignConfig cfg = analysis::CampaignConfig::delta_a100();
     cfg.seed = 3;
-    auto campaign = std::make_unique<analysis::DeltaCampaign>(cfg);
+    auto campaign = std::make_unique<bench::AnalyzedCampaign>(cfg);
     campaign->run();
     return campaign;
   }();

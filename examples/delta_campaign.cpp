@@ -28,6 +28,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(cfg.seed));
 
   analysis::DeltaCampaign campaign(cfg);
+  // The campaign only generates; an attached pipeline analyzes what it
+  // generates, as gpures-analyze would from the written dataset.
+  analysis::AnalysisPipeline pipe(campaign.topology(),
+                                  campaign.config().pipeline);
+  campaign.set_analysis(&pipe);
   campaign.set_progress([](int day, int total) {
     std::printf("\rsimulating day %4d/%d", day, total);
     std::fflush(stdout);
@@ -35,7 +40,6 @@ int main(int argc, char** argv) {
   campaign.run();
   std::printf("\n\n");
 
-  const auto& pipe = campaign.pipeline();
   const auto& c = pipe.counters();
   std::printf("Stage I : %llu raw lines -> %llu XID records, %llu lifecycle "
               "records (%llu rejected, %llu unknown hosts)\n",

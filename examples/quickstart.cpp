@@ -16,6 +16,11 @@ int main() {
   cfg.seed = 7;
 
   analysis::DeltaCampaign campaign(cfg);
+  // The campaign only generates; an attached pipeline analyzes what it
+  // generates, as gpures-analyze would from the written dataset.
+  analysis::AnalysisPipeline pipe(campaign.topology(),
+                                  campaign.config().pipeline);
+  campaign.set_analysis(&pipe);
   campaign.set_progress([](int day, int total) {
     std::printf("\rsimulating day %d/%d", day, total);
     std::fflush(stdout);
@@ -23,7 +28,6 @@ int main() {
   campaign.run();
   std::printf("\n");
 
-  const auto& pipe = campaign.pipeline();
   const auto& c = pipe.counters();
   std::printf("raw log lines: %llu (xid records %llu, lifecycle %llu, "
               "rejected %llu)\n",

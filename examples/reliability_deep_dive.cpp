@@ -18,9 +18,11 @@ int main() {
 
   std::printf("running the full 1170-day campaign (cluster-only)...\n");
   analysis::DeltaCampaign campaign(cfg);
+  analysis::AnalysisPipeline pipe(campaign.topology(),
+                                  campaign.config().pipeline);
+  campaign.set_analysis(&pipe);
   campaign.run();
 
-  const auto& pipe = campaign.pipeline();
   std::printf("%zu coalesced errors recovered from %llu raw lines\n\n",
               pipe.errors().size(),
               static_cast<unsigned long long>(campaign.raw_log_lines()));

@@ -41,10 +41,12 @@ double run_cell(double gsp_factor, double reboot_factor, std::uint64_t seed) {
   cfg.faults.recovery.reboot_lognormal_mu += std::log(reboot_factor);
 
   analysis::DeltaCampaign campaign(cfg);
+  analysis::AnalysisPipeline pipe(campaign.topology(),
+                                  campaign.config().pipeline);
+  campaign.set_analysis(&pipe);
   campaign.run();
-  const auto avail = campaign.pipeline().availability();
-  const double a =
-      avail.availability(campaign.pipeline().mttf_estimate_h());
+  const auto avail = pipe.availability();
+  const double a = avail.availability(pipe.mttf_estimate_h());
   return analysis::AvailabilityStats::downtime_minutes_per_day(a);
 }
 

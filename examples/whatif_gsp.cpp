@@ -35,9 +35,12 @@ struct Outcome {
 
 Outcome run(const analysis::CampaignConfig& cfg) {
   analysis::DeltaCampaign campaign(cfg);
+  analysis::AnalysisPipeline pipe(campaign.topology(),
+                                  campaign.config().pipeline);
+  campaign.set_analysis(&pipe);
   campaign.run();
-  const auto stats = campaign.pipeline().error_stats();
-  const auto avail = campaign.pipeline().availability();
+  const auto stats = pipe.error_stats();
+  const auto avail = pipe.availability();
   Outcome o;
   o.op_node_mtbe_h = stats.total.op.mtbe_per_node_h;
   o.mttr_h = avail.mttr_h;

@@ -70,21 +70,23 @@ DeltaCampaign::DeltaCampaign(CampaignConfig cfg)
 
   cfg_.pipeline.periods = periods_;
   if (cfg_.pipeline.metrics == nullptr) cfg_.pipeline.metrics = cfg_.metrics;
-  pipeline_ = std::make_unique<AnalysisPipeline>(topo_, cfg_.pipeline);
   engine_.set_metrics(cfg_.metrics);
 
   log_stream_ = std::make_unique<logsys::DayLogStream>(
       [this](common::TimePoint day_start, logsys::DayBuffer&& day) {
         if (dataset_ != nullptr) dataset_->write_day(day_start, day);
-        pipeline_->ingest_day(day_start, std::move(day));
+        if (analysis_ != nullptr) analysis_->ingest_day(day_start, day);
       });
 
   cluster::ShardedClusterSim::Options sim_opts;
   sim_opts.shards = cfg_.sim_shards;
-  // Shards run on the pipeline's pool when one exists (--threads > 0); the
-  // shard structure itself never depends on the pool, so thread count only
-  // changes wall-clock, never output.
-  sim_opts.pool = pipeline_->pool();
+  // Shards run on a pool when --threads > 0; the shard structure itself
+  // never depends on the pool, so thread count only changes wall-clock,
+  // never output.
+  if (cfg_.pipeline.num_threads > 0) {
+    pool_ = std::make_unique<common::ThreadPool>(cfg_.pipeline.num_threads);
+  }
+  sim_opts.pool = pool_.get();
   sim_ = std::make_unique<cluster::ShardedClusterSim>(topo_, cfg_.faults,
                                                       root.fork("sim"),
                                                       sim_opts);
@@ -195,20 +197,21 @@ void DeltaCampaign::run() {
   if (scheduler_) scheduler_->finalize(end);
   log_stream_->finalize();
 
-  if (scheduler_) {
-    OBS_SPAN("campaign.ingest_accounting");
-    const auto header = slurm::accounting_header();
-    if (dataset_ != nullptr) dataset_->write_accounting_line(header);
-    pipeline_->ingest_accounting_line(header);
+  if (scheduler_ && (dataset_ != nullptr || analysis_ != nullptr)) {
+    OBS_SPAN("campaign.write_accounting");
+    const auto emit = [this](std::string_view line) {
+      if (dataset_ != nullptr) dataset_->write_accounting_line(line);
+      if (analysis_ != nullptr) analysis_->ingest_accounting_line(line);
+    };
+    emit(slurm::accounting_header());
     std::string line;  // reused scratch: no per-record allocation
     for (const auto& rec : scheduler_->records()) {
       line.clear();
       slurm::append_accounting_line(line, rec, topo_);
-      if (dataset_ != nullptr) dataset_->write_accounting_line(line);
-      pipeline_->ingest_accounting_line(line);
+      emit(line);
     }
   }
-  pipeline_->finish();
+  if (analysis_ != nullptr) analysis_->finish();
   if (dataset_ != nullptr) dataset_->finalize().throw_if_error();
 }
 

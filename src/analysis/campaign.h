@@ -1,14 +1,16 @@
-// Campaign driver: one-call "simulate Delta 2022-2025, emit raw artifacts,
-// run the analysis pipeline over them".
+// Campaign driver: one-call "simulate Delta 2022-2025 and emit its raw
+// artifacts".
 //
-// The campaign owns the sharded cluster simulator, a consumer DES engine
-// hosting the Slurm workload/scheduler/failure-propagation stack, and the
-// analysis pipeline.  Each day: the node-range shards simulate the day
-// independently (in parallel when the pipeline has a worker pool), their
-// merged event stream replays into the consumer engine, and the day's raw
-// lines flow day-bucketed stream -> Stage I parser (the log is never held in
-// memory whole); accounting records round-trip through their textual sacct
-// form.  Ground truth is retained solely for validation.
+// The campaign owns the sharded cluster simulator and a consumer DES engine
+// hosting the Slurm workload/scheduler/failure-propagation stack.  Each day:
+// the node-range shards simulate the day independently (in parallel when
+// pipeline.num_threads > 0), their merged event stream replays into the
+// consumer engine, and the day's raw lines flow through a day-bucketed
+// stream to the attached sinks (the log is never held in memory whole); at
+// the end every job is formatted as its textual sacct row.  The campaign
+// only generates: a DatasetWriter sink writes the artifacts to disk, and an
+// attached AnalysisPipeline analyzes them in memory.  Neither changes what
+// is generated.  Ground truth is retained solely for validation.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +38,10 @@ struct CampaignConfig {
   slurm::WorkloadConfig workload = slurm::WorkloadConfig::delta_a100();
   slurm::FailureModelConfig failure;
   slurm::SchedulerConfig scheduler;
-  PipelineConfig pipeline;  ///< periods are overridden from `faults`
+  /// The analysis configuration for an attached pipeline; the campaign
+  /// resolves its periods from `faults` and its registry from `metrics`.
+  /// num_threads also sizes the simulation's shard pool.
+  PipelineConfig pipeline;
   std::uint64_t seed = 42;
   bool with_jobs = true;
   /// Cluster-wide non-XID noise lines per day (exercises Stage-I rejection).
@@ -49,9 +54,9 @@ struct CampaignConfig {
   /// byte-identical at any pipeline.num_threads.
   std::int32_t sim_shards = 0;
   /// Observability registry shared by every layer of the campaign (DES
-  /// engine, cluster sim, fault injector, scheduler, pipeline).  Null runs
-  /// with the same code paths but no metric emission from the sim layers;
-  /// the pipeline still keeps its private registry.  Metrics never feed
+  /// engine, cluster sim, fault injector, scheduler) and, through
+  /// `pipeline.metrics`, an attached pipeline.  Null runs with the same code
+  /// paths but no metric emission from the sim layers.  Metrics never feed
   /// back into simulation or analysis results.
   obs::MetricsRegistry* metrics = nullptr;
 
@@ -78,11 +83,16 @@ class DeltaCampaign {
   /// dataset directory while the campaign runs.  Must outlive run().
   void set_dataset_writer(DatasetWriter* writer) { dataset_ = writer; }
 
+  /// Optional: feed every day and accounting row to `pipe` as they are
+  /// generated, and finish it at the end of run().  Build it as
+  /// `AnalysisPipeline pipe(c.topology(), c.config().pipeline)`.  Must
+  /// outlive run().
+  void set_analysis(AnalysisPipeline* pipe) { analysis_ = pipe; }
+
   /// Run the full campaign; idempotent (second call is a no-op).
   void run();
 
   // ---- results ----
-  const AnalysisPipeline& pipeline() const { return *pipeline_; }
   const xid::GroundTruth& ground_truth() const { return sim_->ground_truth(); }
   const std::vector<slurm::JobRecord>& job_records() const;
   const cluster::Topology& topology() const { return topo_; }
@@ -98,7 +108,7 @@ class DeltaCampaign {
   StudyPeriods periods_;
   cluster::Topology topo_;
   des::Engine engine_;  ///< consumer engine: scheduler/workload/failure clock
-  std::unique_ptr<AnalysisPipeline> pipeline_;
+  std::unique_ptr<common::ThreadPool> pool_;  ///< shard pool; null if serial
   std::unique_ptr<cluster::ShardedClusterSim> sim_;
   std::unique_ptr<slurm::Scheduler> scheduler_;
   std::unique_ptr<slurm::WorkloadModel> workload_;
@@ -106,6 +116,7 @@ class DeltaCampaign {
   std::unique_ptr<logsys::DayLogStream> log_stream_;
   common::Rng noise_rng_;
   DatasetWriter* dataset_ = nullptr;
+  AnalysisPipeline* analysis_ = nullptr;
   std::function<void(int, int)> progress_;
   std::uint64_t raw_lines_ = 0;
   bool ran_ = false;

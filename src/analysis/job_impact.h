@@ -106,7 +106,8 @@ ErrorIndex build_error_index(const std::vector<CoalescedError>& errors,
                              const JobImpactConfig& cfg);
 
 /// Per-shard tallies of one exposure join (shard 0 only in serial mode).
-/// Reported through the obs registry as pipe.stage3.shard.N.* counters.
+/// Reported through the obs registry as the pipe.stage3.shard_{jobs,exposed}
+/// families, one {shard="N"} child per shard.
 struct ExposureJoinStats {
   struct Shard {
     std::uint64_t jobs_scanned = 0;  ///< jobs in the shard's range and period

@@ -1,13 +1,69 @@
 #include "analysis/pipeline.h"
 
-#include <chrono>
+#include <algorithm>
 #include <stdexcept>
+#include <variant>
 
+#include "common/strings.h"
 #include "obs/trace.h"
+#include "slurm/accounting.h"
+#include "xid/xid.h"
 
 namespace gpures::analysis {
 
 namespace {
+
+/// Stage-I output of a run of lines: records in line order, plus the lines
+/// that yielded neither.
+struct Stage1Batch {
+  std::vector<XidObservation> obs;
+  std::vector<LifecycleRecord> lifecycle;
+  std::uint64_t rejected = 0;  ///< did not parse
+  std::uint64_t unknown = 0;   ///< parsed, but host or PCI id unresolvable
+};
+
+/// Stage I over lines [lo, hi) of `day`: parse each line, resolve its host
+/// and PCI id to a GPU, and record an observation or lifecycle record.  The
+/// batch is built on the calling worker's stack, so workers share no cache
+/// line while they parse.
+Stage1Batch parse_lines(const LineParser& parser, const cluster::Topology& topo,
+                        common::TimePoint day_start,
+                        const logsys::DayBuffer& day, std::size_t lo,
+                        std::size_t hi) {
+  OBS_SPAN("stage1.parse");
+  Stage1Batch out;
+  for (std::size_t i = lo; i < hi; ++i) {
+    // The slice (and the XidRecord views borrowed from it) lives in the
+    // day arena; hosts/PCI ids are resolved to indices right here, so
+    // nothing outlives the iteration.
+    auto parsed = parser.parse(day.line(i), day_start);
+    if (!parsed) {
+      ++out.rejected;
+      continue;
+    }
+    if (auto* xrec = std::get_if<XidRecord>(&*parsed)) {
+      const auto node = topo.node_index(xrec->host);
+      const auto slot = node ? topo.slot_for_pci(*node, xrec->pci)
+                             : std::nullopt;
+      if (!slot) {
+        ++out.unknown;
+        continue;
+      }
+      XidObservation obs;
+      obs.time = xrec->time;
+      obs.gpu = {*node, *slot};
+      obs.xid = xrec->xid;
+      out.obs.push_back(obs);
+    } else if (auto* lrec = std::get_if<LifecycleRecord>(&*parsed)) {
+      if (!topo.node_index(lrec->host)) {
+        ++out.unknown;
+        continue;
+      }
+      out.lifecycle.push_back(std::move(*lrec));
+    }
+  }
+  return out;
+}
 
 std::unique_ptr<LineParser> make_parser(const PipelineConfig& cfg) {
   if (cfg.use_regex_parser) return std::make_unique<RegexLineParser>();
@@ -15,6 +71,19 @@ std::unique_ptr<LineParser> make_parser(const PipelineConfig& cfg) {
 }
 
 }  // namespace
+
+/// The nine counters `pipe.log_lines` .. `pipe.errors_coalesced`.
+struct AnalysisPipeline::Metrics {
+  obs::Counter* log_lines = nullptr;
+  obs::Counter* xid_records = nullptr;
+  obs::Counter* lifecycle_records = nullptr;
+  obs::Counter* rejected_lines = nullptr;
+  obs::Counter* unknown_hosts = nullptr;
+  obs::Counter* accounting_lines = nullptr;
+  obs::Counter* accounting_errors = nullptr;
+  obs::Counter* out_of_order = nullptr;
+  obs::Counter* errors_coalesced = nullptr;
+};
 
 AnalysisPipeline::AnalysisPipeline(const cluster::Topology& topo,
                                    PipelineConfig cfg)
@@ -25,98 +94,79 @@ AnalysisPipeline::AnalysisPipeline(const cluster::Topology& topo,
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
     metrics_ = owned_metrics_.get();
   }
-  m_ = PipeMetrics::on(*metrics_);
-  day_parse_us_ =
-      &metrics_->histogram("pipe.stage1.day_parse_us", obs::latency_buckets_us());
-  const std::size_t worker_slots =
-      cfg_.num_threads == 0 ? 1 : cfg_.num_threads;
-  worker_metrics_.resize(worker_slots);
-  for (std::size_t w = 0; w < worker_slots; ++w) {
-    const std::string prefix = "pipe.worker." + std::to_string(w) + ".";
-    worker_metrics_[w].days_parsed = &metrics_->counter(prefix + "days_parsed");
-    worker_metrics_[w].lines = &metrics_->counter(prefix + "lines");
-    worker_metrics_[w].parse_time_ns =
-        &metrics_->counter(prefix + "parse_time_ns");
-  }
+  auto& reg = *metrics_;
+  m_ = std::make_unique<Metrics>(Metrics{
+      .log_lines = &reg.counter("pipe.log_lines"),
+      .xid_records = &reg.counter("pipe.xid_records"),
+      .lifecycle_records = &reg.counter("pipe.lifecycle_records"),
+      .rejected_lines = &reg.counter("pipe.rejected_lines"),
+      .unknown_hosts = &reg.counter("pipe.unknown_hosts"),
+      .accounting_lines = &reg.counter("pipe.accounting_lines"),
+      .accounting_errors = &reg.counter("pipe.accounting_errors"),
+      .out_of_order = &reg.counter("pipe.out_of_order_observations"),
+      .errors_coalesced = &reg.counter("pipe.errors_coalesced"),
+  });
 
-  if (cfg_.num_threads == 0) {
-    parser_ = make_parser(cfg_);
-    coalescer_ = std::make_unique<Coalescer>(
-        cfg_.coalescer, [this](const CoalescedError& e) {
-          errors_.push_back(e);
-          m_.errors_coalesced->inc();
-        });
-  } else {
-    // Parallel mode: N workers, each with a private Stage-I parser; N
-    // Stage-II shards, each owning a private coalescer over a disjoint set
-    // of GPUs.
-    const std::size_t n = cfg_.num_threads;
-    pool_ = std::make_unique<common::ThreadPool>(n);
-    worker_parsers_.reserve(n);
-    shard_coalescers_.reserve(n);
-    shard_errors_.resize(n);
-    shard_feed_.resize(n);
-    for (std::size_t s = 0; s < n; ++s) {
-      worker_parsers_.push_back(make_parser(cfg_));
-      auto* sink = &shard_errors_[s];
-      auto* coalesced = m_.errors_coalesced;
-      shard_coalescers_.push_back(std::make_unique<Coalescer>(
-          cfg_.coalescer, [sink, coalesced](const CoalescedError& e) {
-            sink->push_back(e);
-            coalesced->inc();
-          }));
-    }
-    batch_days_ = cfg_.stage1_batch_days > 0
-                      ? cfg_.stage1_batch_days
-                      : 4 * static_cast<std::size_t>(cfg_.num_threads);
+  if (cfg_.num_threads > 0) {
+    pool_ = std::make_unique<common::ThreadPool>(cfg_.num_threads);
   }
+  const std::size_t workers = pool_ ? pool_->size() : 1;
+  for (std::size_t w = 0; w < workers; ++w) {
+    parsers_.push_back(make_parser(cfg_));
+  }
+  coalescer_ = std::make_unique<Coalescer>(
+      cfg_.coalescer, [this](const CoalescedError& e) {
+        rows_.errors.push_back(e);
+        m_->errors_coalesced->inc();
+      });
+
   Stage3Config s3;
   s3.periods = cfg_.periods;
   s3.outlier_share = cfg_.outlier_share;
   s3.outlier_min = cfg_.outlier_min;
   s3.attribution_window = cfg_.attribution_window;
   s3.attribution = cfg_.attribution;
-  stage3_ = std::make_unique<Stage3>(topo_, std::move(s3),
-                                     RunRows{errors_, lifecycle_, jobs_},
-                                     *metrics_, pool_.get());
+  stage3_ = std::make_unique<Stage3>(topo_, std::move(s3), rows_, reg,
+                                     pool_.get());
 }
 
 AnalysisPipeline::~AnalysisPipeline() = default;
 
-Stage1Batch AnalysisPipeline::parse_day(const LineParser& parser,
-                                        std::size_t worker,
-                                        common::TimePoint day_start,
-                                        const logsys::DayBuffer& day) const {
-  const auto t0 = std::chrono::steady_clock::now();
-  Stage1Batch out;
-  parse_lines(parser, topo_, day_start, day, 0, day.size(), m_, out);
-  const auto elapsed = std::chrono::steady_clock::now() - t0;
-  const auto ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
-  day_parse_us_->observe(static_cast<double>(ns) / 1000.0);
-  const auto& wm = worker_metrics_[worker % worker_metrics_.size()];
-  wm.days_parsed->inc();
-  wm.lines->add(day.size());
-  wm.parse_time_ns->add(ns);
-  return out;
-}
-
-std::size_t AnalysisPipeline::shard_of(xid::GpuId gpu) const {
-  return static_cast<std::size_t>(xid::gpu_key(gpu)) %
-         shard_coalescers_.size();
-}
-
-void AnalysisPipeline::ingest_day(common::TimePoint day_start,
-                                  logsys::DayBuffer&& day) {
+common::TimePoint AnalysisPipeline::ingest_day(common::TimePoint day_start,
+                                               const logsys::DayBuffer& day) {
   if (finished_) throw std::logic_error("pipeline: ingest after finish()");
-  if (pool_) {
-    pending_days_.push_back(PendingDay{day_start, std::move(day)});
-    if (pending_days_.size() >= batch_days_) flush_pending_days();
-    return;
+  // Stage I.  With a pool, the lines split into one contiguous range per
+  // worker (a chunk too small to share parses as one range) and merge
+  // range-ordered — the observation sequence is the line sequence either
+  // way, so results are byte-identical at any thread count.
+  const std::size_t n = day.size();
+  const std::size_t ranges =
+      pool_ != nullptr && n >= 2 * pool_->size() ? pool_->size() : 1;
+  std::vector<Stage1Batch> parts(ranges);
+  const auto parse_range = [&](std::size_t i, std::size_t w) {
+    parts[i] = parse_lines(*parsers_[w], topo_, day_start, day,
+                           i * n / ranges, (i + 1) * n / ranges);
+  };
+  if (ranges == 1) {
+    parse_range(0, 0);
+  } else {
+    pool_->parallel_for(ranges, parse_range);
   }
-  auto parsed = parse_day(*parser_, 0, day_start, day);
-  for (auto& l : parsed.lifecycle) lifecycle_.push_back(std::move(l));
-  for (const auto& o : parsed.obs) coalescer_->add(o);
+  // Stage II: one streaming coalescer over the merged sequence.
+  common::TimePoint latest = 0;
+  for (auto& part : parts) {
+    m_->rejected_lines->add(part.rejected);
+    m_->unknown_hosts->add(part.unknown);
+    m_->xid_records->add(part.obs.size());
+    m_->lifecycle_records->add(part.lifecycle.size());
+    for (auto& l : part.lifecycle) rows_.lifecycle.push_back(std::move(l));
+    for (const auto& o : part.obs) {
+      coalescer_->add(o);
+      latest = std::max(latest, o.time);
+    }
+  }
+  m_->log_lines->add(n);
+  return latest;
 }
 
 void AnalysisPipeline::ingest_log_day(common::TimePoint day_start,
@@ -126,38 +176,7 @@ void AnalysisPipeline::ingest_log_day(common::TimePoint day_start,
   for (const auto& l : lines) bytes += l.text.size() + 1;
   day.reserve(lines.size(), bytes);
   for (const auto& l : lines) day.append(l.time, l.text);
-  ingest_day(day_start, std::move(day));
-}
-
-void AnalysisPipeline::flush_pending_days() {
-  if (pending_days_.empty()) return;
-  // Stage I: each worker parses a contiguous chunk of days with its private
-  // parser; outputs are indexed by day, so merge order is ingestion order
-  // regardless of which worker parsed what.
-  std::vector<Stage1Batch> parsed(pending_days_.size());
-  pool_->parallel_for(
-      pending_days_.size(), [&](std::size_t i, std::size_t w) {
-        parsed[i] =
-            parse_day(*worker_parsers_[w], w, pending_days_[i].day_start,
-                      pending_days_[i].day);
-      });
-  // Deterministic ordered merge: day index order, stable within-day order —
-  // exactly the sequence the serial path would have produced.
-  {
-    OBS_SPAN("stage1.merge_days");
-    for (auto& day : parsed) {
-      for (auto& l : day.lifecycle) lifecycle_.push_back(std::move(l));
-      for (const auto& o : day.obs) shard_feed_[shard_of(o.gpu)].push_back(o);
-    }
-  }
-  pending_days_.clear();
-  // Stage II: shard s owns a disjoint set of (GPU, code) keys, so its
-  // coalescer sees the same per-key subsequence as the serial coalescer.
-  pool_->parallel_for(shard_feed_.size(), [&](std::size_t s, std::size_t) {
-    OBS_SPAN("stage2.coalesce_shard");
-    for (const auto& o : shard_feed_[s]) shard_coalescers_[s]->add(o);
-    shard_feed_[s].clear();
-  });
+  ingest_day(day_start, day);
 }
 
 void AnalysisPipeline::ingest_log_text(common::TimePoint day_start,
@@ -173,38 +192,62 @@ void AnalysisPipeline::ingest_log_text(common::TimePoint day_start,
   ingest_log_text(day_start, std::string(text));
 }
 
-bool AnalysisPipeline::ingest_accounting_line(std::string_view line) {
+AccountingLine AnalysisPipeline::ingest_accounting(std::string_view line) {
   if (finished_) throw std::logic_error("pipeline: ingest after finish()");
-  return add_accounting_line(line, topo_, jobs_, m_) !=
-         AccountingLine::kMalformed;
+  const auto trimmed = common::trim(line);
+  if (trimmed.empty()) return AccountingLine::kBlank;
+  m_->accounting_lines->inc();
+  if (trimmed == slurm::kAccountingHeader) return AccountingLine::kHeader;
+  auto rec = slurm::parse_accounting_line(trimmed, topo_);
+  if (!rec.ok()) {
+    m_->accounting_errors->inc();
+    return AccountingLine::kMalformed;
+  }
+  rows_.jobs.add(rec.value());
+  return AccountingLine::kJob;
+}
+
+void AnalysisPipeline::restore(const CoalescerState& state,
+                               EmittedRows&& rows) {
+  coalescer_->restore(state);
+  // Assigned in place: Stage III holds a reference to rows_.
+  rows_ = std::move(rows);
 }
 
 void AnalysisPipeline::finish() {
   if (finished_) return;
   finished_ = true;
   OBS_SPAN("pipeline.finish");
-  if (pool_) {
-    flush_pending_days();
-    pool_->parallel_for(shard_coalescers_.size(),
-                        [&](std::size_t s, std::size_t) {
-                          shard_coalescers_[s]->flush();
-                        });
-    for (std::size_t s = 0; s < shard_coalescers_.size(); ++s) {
-      errors_.insert(errors_.end(), shard_errors_[s].begin(),
-                     shard_errors_[s].end());
-      m_.out_of_order->add(shard_coalescers_[s]->out_of_order());
-      shard_errors_[s].clear();
-      shard_errors_[s].shrink_to_fit();
-    }
-  } else {
-    coalescer_->flush();
-    m_.out_of_order->add(coalescer_->out_of_order());
-  }
-  sort_rows(errors_, lifecycle_);
+  coalescer_->flush();
+  m_->out_of_order->add(coalescer_->out_of_order());
+  // Errors sort by (time, GPU, code) — a total order, since two distinct
+  // errors never tie — so the sequence is the same however the rows were
+  // produced.  Lifecycle records sort stably by time: same-second ties keep
+  // ingestion order.
+  std::sort(rows_.errors.begin(), rows_.errors.end(),
+            [](const CoalescedError& a, const CoalescedError& b) {
+              if (a.time != b.time) return a.time < b.time;
+              if (a.gpu != b.gpu) return a.gpu < b.gpu;
+              return xid::to_number(a.code) < xid::to_number(b.code);
+            });
+  std::stable_sort(rows_.lifecycle.begin(), rows_.lifecycle.end(),
+                   [](const LifecycleRecord& a, const LifecycleRecord& b) {
+                     return a.time < b.time;
+                   });
 }
 
 AnalysisPipeline::Counters AnalysisPipeline::counters() const {
-  return m_.counts();
+  Counters c;
+  c.log_lines = m_->log_lines->value();
+  c.xid_records = m_->xid_records->value();
+  c.lifecycle_records = m_->lifecycle_records->value();
+  c.rejected_lines = m_->rejected_lines->value();
+  c.unknown_hosts = m_->unknown_hosts->value();
+  c.accounting_lines = m_->accounting_lines->value();
+  c.accounting_errors = m_->accounting_errors->value();
+  c.out_of_order_observations = m_->out_of_order->value();
+  c.errors_coalesced = m_->errors_coalesced->value();
+  return c;
 }
 
 }  // namespace gpures::analysis

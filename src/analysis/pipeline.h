@@ -1,21 +1,26 @@
-// The end-to-end analysis pipeline (paper Fig. 1).
+// The end-to-end analysis pipeline (paper Fig. 1) — the one engine for
+// Stages I-II, behind every consumer: gpures-analyze and gpures-serve (via
+// serve::ServeSession), a campaign with an attached pipeline, the examples
+// and the benches.
 //
-// Stage I:  ingest per-day raw syslog text (regex or fast matcher) and the
-//           Slurm accounting dump; resolve hostnames/PCI ids to GPUs.
-// Stage II: coalesce duplicated XID records into errors; compute error
-//           counts and MTBE per family/category/period.
-// Stage III:correlate errors with job records (Table II), job population
-//           statistics (Table III), and node availability (Fig. 2, §V-C).
+// Stage I:  parse day chunks of raw syslog text (fast scanner, or the regex
+//           oracle) and Slurm accounting lines; resolve hostnames/PCI ids to
+//           GPUs.
+// Stage II: coalesce duplicated XID records into errors in one streaming
+//           coalescer; finish() sorts the rows into their final order.
+// Stage III:error statistics (Table I), job impact (Table II), job
+//           population (Table III) and availability (Fig. 2) over the rows
+//           (analysis/stages.h).
 //
 // The pipeline consumes raw artifacts only — never simulator ground truth —
 // so validating its outputs against ground truth is a genuine end-to-end
 // test of the measurement methodology.
 //
-// Parallel mode (PipelineConfig::num_threads > 0) shards Stage I by day,
-// Stage II by GPU, and Stage III by job range (the exposure join runs
-// against a read-only per-location error index) and by host for
-// availability, then merges deterministically; the output is byte-identical
-// to a serial run (see DESIGN.md "Parallel pipeline determinism").
+// With a worker pool (PipelineConfig::num_threads > 0) each day chunk is
+// split into contiguous line ranges parsed on the pool and merged in range
+// order, so the coalescer sees the same observation sequence as a serial
+// run; Stage III shards by job range and by host.  Output is byte-identical
+// at any thread count (see DESIGN.md "Parallel pipeline determinism").
 #pragma once
 
 #include <cstdint>
@@ -24,12 +29,8 @@
 #include <string_view>
 #include <vector>
 
-#include "analysis/availability.h"
 #include "analysis/coalesce.h"
-#include "analysis/error_stats.h"
 #include "analysis/extraction.h"
-#include "analysis/job_impact.h"
-#include "analysis/job_stats.h"
 #include "analysis/periods.h"
 #include "analysis/stages.h"
 #include "cluster/topology.h"
@@ -53,22 +54,20 @@ struct PipelineConfig {
   /// Use the std::regex Stage-I matcher instead of the fast scanner (a
   /// test oracle for the fast one; no CLI exposes it).
   bool use_regex_parser = false;
-  /// Worker threads for every stage.  0 (the default) runs fully serial;
-  /// N > 0 runs Stage I day-sharded, Stage II GPU-sharded, and Stage III
-  /// job-/host-sharded on N workers with a deterministic ordered merge —
-  /// results are byte-identical to serial for any N.
+  /// Worker threads.  0 (the default) runs fully serial; N > 0 parses each
+  /// day chunk as N contiguous line ranges and shards Stage III by job and
+  /// host on N workers — results are byte-identical to serial for any N.
   std::uint32_t num_threads = 0;
-  /// Days buffered per parallel Stage-I batch (bounds memory when streaming
-  /// a long campaign).  0 picks 4 * num_threads.  Has no effect on results.
-  std::uint32_t stage1_batch_days = 0;
-  /// Observability registry for the pipe.* metrics (stage counters,
-  /// per-worker parse totals, day-parse latency histogram).  When null the
-  /// pipeline owns a private registry, so metrics are always collected;
-  /// the flag only controls where they can be read from.  Give each
-  /// pipeline its own registry unless aggregate counts are wanted.
-  /// Metrics never feed back into analysis results.
+  /// Observability registry for the pipe.* metrics.  When null the pipeline
+  /// owns a private registry, so metrics are always collected; the flag
+  /// only controls where they can be read from.  Give each pipeline its own
+  /// registry unless aggregate counts are wanted.  Metrics never feed back
+  /// into analysis results.
   obs::MetricsRegistry* metrics = nullptr;
 };
+
+/// What one accounting-dump line turned out to be.
+enum class AccountingLine { kBlank, kHeader, kJob, kMalformed };
 
 class AnalysisPipeline {
  public:
@@ -78,12 +77,15 @@ class AnalysisPipeline {
   AnalysisPipeline(const AnalysisPipeline&) = delete;
   AnalysisPipeline& operator=(const AnalysisPipeline&) = delete;
 
-  // ---- Stage I ingestion ----
-  /// Ingest one consolidated day as an arena: the pipeline takes ownership
-  /// and Stage-I workers parse string_view slices straight out of the day
-  /// buffer — zero per-line copies.  This is the hot path; the overloads
-  /// below are copying conveniences that funnel into it.
-  void ingest_day(common::TimePoint day_start, logsys::DayBuffer&& day);
+  // ---- Stage I/II ingestion ----
+  /// Parse one chunk of a day (any run of its lines, in order) and feed its
+  /// observations to the coalescer.  Stage I reads string_view slices
+  /// straight out of the arena, which need only live for the call.  Returns
+  /// the latest observation time fed, or 0 when the chunk held none.  This
+  /// is the hot path; the overloads below are conveniences that funnel
+  /// into it.
+  common::TimePoint ingest_day(common::TimePoint day_start,
+                               const logsys::DayBuffer& day);
   /// Ingest one consolidated day of raw log lines (copies into an arena).
   void ingest_log_day(common::TimePoint day_start,
                       std::span<const logsys::RawLine> lines);
@@ -97,18 +99,33 @@ class AnalysisPipeline {
   void ingest_log_text(common::TimePoint day_start, const char* text) {
     ingest_log_text(day_start, std::string_view(text));
   }
-  /// Ingest one accounting line.  Returns false when the line is malformed
-  /// (counted and skipped here; the caller's ingest policy decides whether
-  /// that aborts the run).  Header and blank lines are accepted trivially.
-  bool ingest_accounting_line(std::string_view line);
+  /// Parse one accounting line and add its job.  Blank lines are skipped
+  /// uncounted; the header and every job row count as accounting lines;
+  /// malformed rows also count as accounting errors and are skipped here
+  /// (the caller's ingest policy decides whether that aborts the run).
+  AccountingLine ingest_accounting(std::string_view line);
+  /// Same, answering only whether the line was well formed.
+  bool ingest_accounting_line(std::string_view line) {
+    return ingest_accounting(line) != AccountingLine::kMalformed;
+  }
 
   /// Flush the coalescer and sort results.  Call once after all ingestion.
   void finish();
 
+  // ---- checkpoint seams (the serve daemon's resume path) ----
+  /// The rows emitted so far; append-only until finish().
+  const EmittedRows& rows() const { return rows_; }
+  /// The coalescer's in-flight groups.
+  CoalescerState coalescer_state() const { return coalescer_->state(); }
+  /// Resume from a checkpoint: replace the rows and the coalescer state.
+  void restore(const CoalescerState& state, EmittedRows&& rows);
+
   // ---- results (valid after finish()) ----
-  const std::vector<CoalescedError>& errors() const { return errors_; }
-  const std::vector<LifecycleRecord>& lifecycle() const { return lifecycle_; }
-  const JobTable& jobs() const { return jobs_; }
+  const std::vector<CoalescedError>& errors() const { return rows_.errors; }
+  const std::vector<LifecycleRecord>& lifecycle() const {
+    return rows_.lifecycle;
+  }
+  const JobTable& jobs() const { return rows_.jobs; }
 
   ErrorStats error_stats() const { return stage3_->error_stats(); }
   /// Full characterization window.
@@ -126,9 +143,9 @@ class AnalysisPipeline {
   const Stage3& stage3() const { return *stage3_; }
 
   // ---- diagnostics ----
-  /// Snapshot view of the pipe.* metrics.  The values themselves live on
-  /// the obs metrics registry (PipelineConfig::metrics or the pipeline's
-  /// private one).
+  /// Snapshot view of the nine pipe.* Stage-I/II counters.  The values
+  /// themselves live on the obs metrics registry (PipelineConfig::metrics
+  /// or the pipeline's private one).
   using Counters = PipeCounts;
   Counters counters() const;
   /// The registry collecting this pipeline's metrics (never null).  The
@@ -143,52 +160,18 @@ class AnalysisPipeline {
   common::ThreadPool* pool() const { return pool_.get(); }
 
  private:
-  struct PendingDay {
-    common::TimePoint day_start = 0;
-    logsys::DayBuffer day;
-  };
-  /// Per-worker-slot Stage-I totals (slot 0 in serial mode).
-  struct WorkerMetrics {
-    obs::Counter* days_parsed = nullptr;
-    obs::Counter* lines = nullptr;
-    obs::Counter* parse_time_ns = nullptr;
-  };
-
-  Stage1Batch parse_day(const LineParser& parser, std::size_t worker,
-                        common::TimePoint day_start,
-                        const logsys::DayBuffer& day) const;
-  std::size_t shard_of(xid::GpuId gpu) const;
-  /// Parallel mode: Stage-I parse all pending days on the pool, merge the
-  /// per-day batches in day order, and drain each Stage-II shard.
-  void flush_pending_days();
+  struct Metrics;
 
   const cluster::Topology& topo_;
   PipelineConfig cfg_;
-
-  // Serial mode.
-  std::unique_ptr<LineParser> parser_;
-  std::unique_ptr<Coalescer> coalescer_;
-
-  // Parallel mode (num_threads > 0).
-  std::unique_ptr<common::ThreadPool> pool_;
-  std::vector<std::unique_ptr<LineParser>> worker_parsers_;
-  std::vector<std::unique_ptr<Coalescer>> shard_coalescers_;
-  std::vector<std::vector<CoalescedError>> shard_errors_;
-  std::vector<std::vector<XidObservation>> shard_feed_;
-  std::vector<PendingDay> pending_days_;
-  std::size_t batch_days_ = 0;
-
-  std::vector<CoalescedError> errors_;
-  std::vector<LifecycleRecord> lifecycle_;
-  JobTable jobs_;
-
   obs::MetricsRegistry* metrics_ = nullptr;  ///< effective registry
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  PipeMetrics m_;
-  obs::Histogram* day_parse_us_ = nullptr;
-  std::vector<WorkerMetrics> worker_metrics_;
+  std::unique_ptr<Metrics> m_;
+  std::unique_ptr<common::ThreadPool> pool_;
+  std::vector<std::unique_ptr<LineParser>> parsers_;  ///< one per worker
+  std::unique_ptr<Coalescer> coalescer_;
+  EmittedRows rows_;
   std::unique_ptr<Stage3> stage3_;
-
   bool finished_ = false;
 };
 

@@ -49,6 +49,7 @@
 #include "analysis/coalesce.h"
 #include "analysis/extraction.h"
 #include "analysis/job_stats.h"
+#include "analysis/stages.h"
 #include "common/error.h"
 #include "common/time.h"
 #include "logsys/day_buffer.h"
@@ -95,15 +96,10 @@ struct AccountingSnapshot {
   std::uint64_t bytes_rejected = 0;
 };
 
-/// Row counts of the append-only emitted state.
-struct EmittedCounts {
-  std::uint64_t errors = 0;
-  std::uint64_t lifecycle = 0;
-  std::uint64_t jobs = 0;
-  std::uint64_t spill = 0;  ///< JobTable::spill entries
-
-  friend bool operator==(const EmittedCounts&, const EmittedCounts&) = default;
-};
+/// The pipeline's emitted rows (append-only until finalize()) and their
+/// row counts.
+using EmittedRows = analysis::EmittedRows;
+using EmittedCounts = analysis::EmittedCounts;
 
 /// A manifest's record of one segment file.
 struct SegmentRef {
@@ -124,18 +120,6 @@ struct CheckpointManifest {
   analysis::CoalescerState coalescer;
   EmittedCounts emitted;              ///< rows the segments hold in total
   std::vector<SegmentRef> segments;   ///< seg-1 .. seg-<seq>, in order
-};
-
-/// The emitted rows, in feed order.
-struct EmittedRows {
-  std::vector<analysis::CoalescedError> errors;
-  std::vector<analysis::LifecycleRecord> lifecycle;
-  analysis::JobTable jobs;
-
-  EmittedCounts counts() const {
-    return {errors.size(), lifecycle.size(), jobs.jobs.size(),
-            jobs.spill.size()};
-  }
 };
 
 /// The rows one segment holds: a view of what was emitted since the

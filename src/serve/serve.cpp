@@ -51,7 +51,6 @@ struct ServeSession::Source {
 };
 
 struct ServeSession::Metrics {
-  analysis::PipeMetrics pipe;
   obs::Counter* ticks = nullptr;
   obs::Counter* chunks = nullptr;
   obs::Counter* bytes = nullptr;
@@ -86,7 +85,6 @@ ServeSession::ServeSession(ServeConfig cfg) : cfg_(std::move(cfg)) {
   }
   m_ = std::make_unique<Metrics>();
   auto& reg = *metrics_;
-  m_->pipe = analysis::PipeMetrics::on(reg);
   m_->ticks = &reg.counter("serve.ticks");
   m_->chunks = &reg.counter("serve.chunks");
   m_->bytes = &reg.counter("serve.bytes_ingested");
@@ -115,20 +113,6 @@ ServeSession::ServeSession(ServeConfig cfg) : cfg_(std::move(cfg)) {
   m_->ckpt_last_seq = &reg.gauge("serve.checkpoint.last_seq");
   m_->ckpt_interval_ticks = &reg.gauge("serve.checkpoint.interval_ticks");
   m_->lag_bytes = &reg.gauge("serve.frontier.lag_bytes");
-
-  if (cfg_.threads > 0) {
-    pool_ = std::make_unique<common::ThreadPool>(cfg_.threads);
-    for (std::uint32_t w = 0; w < cfg_.threads; ++w) {
-      parsers_.push_back(std::make_unique<analysis::FastLineParser>());
-    }
-  } else {
-    parsers_.push_back(std::make_unique<analysis::FastLineParser>());
-  }
-  coalescer_ = std::make_unique<analysis::Coalescer>(
-      cfg_.coalescer, [this](const analysis::CoalescedError& e) {
-        emitted_.errors.push_back(e);
-        m_->pipe.errors_coalesced->inc();
-      });
 }
 
 ServeSession::~ServeSession() = default;
@@ -167,16 +151,16 @@ common::Status ServeSession::open(bool resume) {
   if (!manifest.ok()) return manifest.error();
   periods_ = manifest.value().periods;
   topo_ = std::make_unique<cluster::Topology>(manifest.value().spec);
-  analysis::Stage3Config s3;
-  s3.periods = periods_;
-  s3.outlier_share = cfg_.outlier_share;
-  s3.outlier_min = cfg_.outlier_min;
-  s3.attribution_window = cfg_.attribution_window;
-  s3.attribution = cfg_.attribution;
-  stage3_ = std::make_unique<analysis::Stage3>(
-      *topo_, std::move(s3),
-      analysis::RunRows{emitted_.errors, emitted_.lifecycle, emitted_.jobs},
-      *metrics_, pool_.get());
+  analysis::PipelineConfig pcfg;
+  pcfg.periods = periods_;
+  pcfg.coalescer = cfg_.coalescer;
+  pcfg.outlier_share = cfg_.outlier_share;
+  pcfg.outlier_min = cfg_.outlier_min;
+  pcfg.attribution_window = cfg_.attribution_window;
+  pcfg.attribution = cfg_.attribution;
+  pcfg.num_threads = cfg_.threads;
+  pcfg.metrics = metrics_;
+  pipe_ = std::make_unique<analysis::AnalysisPipeline>(*topo_, pcfg);
 
   syslog_dir_ = cfg_.data_dir / "syslog";
   acct_path_ = (cfg_.data_dir / "slurm_accounting.txt").string();
@@ -528,33 +512,9 @@ common::Status ServeSession::consume_day_text(Source& src, std::string&& text,
   dirty_ = true;
   m_->bytes->add(n_bytes);
 
-  // Stage I over the chunk.  Parallel mode splits the lines into one
-  // contiguous range per worker and merges range-ordered — the observation
-  // sequence is the line sequence either way, so results are byte-identical
-  // at any thread count.
-  const std::size_t n = day.size();
-  std::vector<analysis::Stage1Batch> parts;
-  if (pool_ != nullptr && n >= 2 * pool_->size()) {
-    const std::size_t workers = pool_->size();
-    parts.resize(workers);
-    pool_->parallel_for(workers, [&](std::size_t i, std::size_t w) {
-      analysis::parse_lines(*parsers_[w % parsers_.size()], *topo_, src.date,
-                            day, i * n / workers, (i + 1) * n / workers,
-                            m_->pipe, parts[i]);
-    });
-  } else {
-    parts.resize(1);
-    analysis::parse_lines(*parsers_[0], *topo_, src.date, day, 0, n, m_->pipe,
-                          parts[0]);
-  }
-  for (auto& part : parts) {
-    for (auto& l : part.lifecycle) emitted_.lifecycle.push_back(std::move(l));
-    for (const auto& o : part.obs) {
-      coalescer_->add(o);
-      if (o.time > watermark_) watermark_ = o.time;
-      if (o.time > src.last_event) src.last_event = o.time;
-    }
-  }
+  const auto latest = pipe_->ingest_day(src.date, day);
+  watermark_ = std::max(watermark_, latest);
+  src.last_event = std::max(src.last_event, latest);
   return {};
 }
 
@@ -608,6 +568,7 @@ common::Status ServeSession::pump_accounting(bool drain) {
 }
 
 common::Status ServeSession::consume_accounting_text(std::string&& text) {
+  OBS_SPAN("accounting.ingest");
   const std::uint64_t base = acct_.offset;
   std::size_t start = 0;
   while (start < text.size()) {
@@ -629,8 +590,7 @@ common::Status ServeSession::consume_accounting_text(std::string&& text) {
 common::Status ServeSession::accounting_line(std::string_view line,
                                              std::uint64_t line_no,
                                              std::uint64_t byte_start) {
-  switch (analysis::add_accounting_line(line, *topo_, emitted_.jobs,
-                                        m_->pipe)) {
+  switch (pipe_->ingest_accounting(line)) {
     case analysis::AccountingLine::kBlank:
     case analysis::AccountingLine::kHeader:
       return {};
@@ -754,7 +714,7 @@ common::Status ServeSession::checkpoint_now() {
   };
   const std::uint64_t seq = seq_ + 1;
   auto segment = store_->write_segment(
-      seq, SegmentRows::since(emitted_, persisted_));
+      seq, SegmentRows::since(pipe_->rows(), persisted_));
   if (!segment.ok()) return failed(segment.error());
   if (cfg_.chaos_point) cfg_.chaos_point("ckpt-seg");
   CheckpointManifest m = snapshot();
@@ -800,8 +760,8 @@ CheckpointManifest ServeSession::snapshot() const {
   }
   m.accounting = acct_;
   m.stray_files = strays_;
-  m.coalescer = coalescer_->state();
-  m.emitted = emitted_.counts();
+  m.coalescer = pipe_->coalescer_state();
+  m.emitted = pipe_->rows().counts();
   m.segments = segments_;
   return m;
 }
@@ -838,8 +798,7 @@ void ServeSession::restore(Checkpoint&& ckpt) {
   advance_frontier(false);  // the checkpoint holds each source's stall clock
   acct_ = std::move(data.accounting);
   strays_ = std::move(data.stray_files);
-  coalescer_->restore(data.coalescer);
-  emitted_ = std::move(ckpt.rows);
+  pipe_->restore(data.coalescer, std::move(ckpt.rows));
   segments_ = std::move(data.segments);
   persisted_ = data.emitted;
   dirty_ = false;
@@ -892,9 +851,7 @@ common::Status ServeSession::finalize() {
                   "ServeSession: source tallies differ from a recount");
   }
 #endif
-  coalescer_->flush();
-  m_->pipe.out_of_order->add(coalescer_->out_of_order());
-  analysis::sort_rows(emitted_.errors, emitted_.lifecycle);
+  pipe_->finish();
   derive_quality();
   watchdog_and_gauges();
   finished_ = true;
@@ -977,13 +934,9 @@ void ServeSession::derive_quality() {
   q.accounting_bytes_rejected = acct_.bytes_rejected;
 }
 
-const analysis::Stage3& ServeSession::stage3() const {
-  common::check(stage3_ != nullptr, "ServeSession: stage3() before open()");
-  return *stage3_;
-}
-
-analysis::PipeCounts ServeSession::counters() const {
-  return m_->pipe.counts();
+const analysis::AnalysisPipeline& ServeSession::pipeline() const {
+  common::check(pipe_ != nullptr, "ServeSession: results before open()");
+  return *pipe_;
 }
 
 }  // namespace gpures::serve

@@ -4,11 +4,11 @@
 // logs: day files may grow, rotate, appear late, or fail to read; the
 // accounting dump may trail behind.  The session advances a *frontier* —
 // day sources are consumed strictly in date order, chunk by chunk, feeding
-// a single streaming coalescer — so the final errors / lifecycle / jobs
-// sequences are byte-identical to what the batch pipeline (gpures-analyze)
-// would produce over the same final bytes.  Chunk boundaries never affect
-// results: classification and parsing are per-line, and chunks are always
-// cut at the last newline.
+// the one in-memory analysis::AnalysisPipeline it owns — so the final
+// errors / lifecycle / jobs sequences are byte-identical to that pipeline
+// fed the same final bytes whole.  Chunk boundaries never affect results:
+// classification and parsing are per-line, and chunks are always cut at the
+// last newline.
 //
 // Resilience contract:
 //  * Every source read runs under a bounded exponential-backoff retry
@@ -33,9 +33,8 @@
 //
 // This is the only way a dataset directory is read: gpures-analyze drains
 // a session without a checkpoint directory (drain()), gpures-serve ticks
-// one for as long as it runs.  Stage I/II counters, the final sort and
-// Stage III are the ones the in-memory AnalysisPipeline uses
-// (analysis/stages.h).
+// one for as long as it runs.  The session keeps the files, the frontier,
+// screening, data quality and checkpoints; Stages I-III are the pipeline's.
 #pragma once
 
 #include <cstdint>
@@ -46,14 +45,11 @@
 #include <string>
 #include <vector>
 
-#include "analysis/coalesce.h"
 #include "analysis/data_quality.h"
 #include "analysis/dataset.h"
-#include "analysis/extraction.h"
-#include "analysis/stages.h"
+#include "analysis/pipeline.h"
 #include "cluster/topology.h"
 #include "common/error.h"
-#include "common/thread_pool.h"
 #include "logsys/day_buffer.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
@@ -150,12 +146,12 @@ class ServeSession {
 
   // ---- results (valid after finalize()) ----
   const std::vector<analysis::CoalescedError>& errors() const {
-    return emitted_.errors;
+    return pipeline().errors();
   }
   const std::vector<analysis::LifecycleRecord>& lifecycle() const {
-    return emitted_.lifecycle;
+    return pipeline().lifecycle();
   }
-  const analysis::JobTable& jobs() const { return emitted_.jobs; }
+  const analysis::JobTable& jobs() const { return pipeline().jobs(); }
   const analysis::DataQualityReport& quality() const { return quality_; }
 
   analysis::ErrorStats error_stats() const { return stage3().error_stats(); }
@@ -166,14 +162,15 @@ class ServeSession {
   }
   double mttf_estimate_h() const { return stage3().mttf_estimate_h(); }
   /// Stage III over the session's rows (valid after open()).
-  const analysis::Stage3& stage3() const;
-  /// Snapshot of the pipe.* Stage-I/II counters.
-  analysis::PipeCounts counters() const;
+  const analysis::Stage3& stage3() const { return pipeline().stage3(); }
+  /// Snapshot of the pipe.* Stage-I/II counters (valid after open()).
+  analysis::PipeCounts counters() const { return pipeline().counters(); }
 
   // ---- introspection ----
   const cluster::Topology& topo() const { return *topo_; }
   const analysis::StudyPeriods& periods() const { return periods_; }
-  common::ThreadPool* pool() const { return pool_.get(); }
+  /// The pipeline's worker pool; null in serial mode or before open().
+  common::ThreadPool* pool() const { return pipe_ ? pipe_->pool() : nullptr; }
   const obs::MetricsRegistry& metrics() const { return *metrics_; }
   obs::MetricsRegistry& metrics() { return *metrics_; }
   std::uint64_t ticks() const { return tick_; }
@@ -188,6 +185,9 @@ class ServeSession {
  private:
   struct Source;
   struct Metrics;
+
+  /// The pipeline the session feeds (valid after open()).
+  const analysis::AnalysisPipeline& pipeline() const;
 
   /// List syslog/ for new day files and strays.  The listing is skipped
   /// when the directory's mtime proves nothing was created, renamed or
@@ -207,7 +207,7 @@ class ServeSession {
   common::Status pump_frontier(bool drain);
   common::Status pump_accounting(bool drain);
   /// Feed `text` (cut at a line boundary, or a final torn fragment when
-  /// `torn_tail`) of day source `src` through screen -> parse -> coalescer.
+  /// `torn_tail`) of day source `src` through the screen to the pipeline.
   common::Status consume_day_text(Source& src, std::string&& text,
                                   bool torn_tail);
   common::Status consume_accounting_text(std::string&& text);
@@ -227,10 +227,7 @@ class ServeSession {
   ServeConfig cfg_;
   analysis::StudyPeriods periods_;
   std::unique_ptr<cluster::Topology> topo_;
-  std::unique_ptr<common::ThreadPool> pool_;
-  std::vector<std::unique_ptr<analysis::LineParser>> parsers_;
-  std::unique_ptr<analysis::Coalescer> coalescer_;
-  std::unique_ptr<analysis::Stage3> stage3_;  ///< built by open()
+  std::unique_ptr<analysis::AnalysisPipeline> pipe_;  ///< built by open()
   std::unique_ptr<CheckpointStore> store_;
 
   std::vector<Source> sources_;  ///< date order
@@ -249,9 +246,6 @@ class ServeSession {
   bool acct_at_eof_ = false;
   std::vector<std::string> strays_;  ///< sorted, deduplicated
 
-  /// Errors, lifecycle records and jobs in feed order; only appended to
-  /// until finalize() sorts them.
-  EmittedRows emitted_;
   analysis::DataQualityReport quality_;
 
   std::uint64_t tick_ = 0;

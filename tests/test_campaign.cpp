@@ -8,8 +8,10 @@
 
 #include "analysis/campaign.h"
 #include "analysis/reports.h"
+#include "analyzed_campaign.h"
 
 namespace an = gpures::analysis;
+namespace gt = gpures::testing;
 namespace gx = gpures::xid;
 
 namespace {
@@ -20,17 +22,17 @@ class CampaignTest : public ::testing::Test {
   static void SetUpTestSuite() {
     an::CampaignConfig cfg = an::CampaignConfig::quick();
     cfg.seed = 2025;
-    campaign_ = new an::DeltaCampaign(cfg);
+    campaign_ = new gt::AnalyzedCampaign(cfg);
     campaign_->run();
   }
   static void TearDownTestSuite() {
     delete campaign_;
     campaign_ = nullptr;
   }
-  static an::DeltaCampaign* campaign_;
+  static gt::AnalyzedCampaign* campaign_;
 };
 
-an::DeltaCampaign* CampaignTest::campaign_ = nullptr;
+gt::AnalyzedCampaign* CampaignTest::campaign_ = nullptr;
 
 }  // namespace
 
@@ -172,8 +174,8 @@ TEST(CampaignDeterminism, SameSeedSameResults) {
   an::CampaignConfig cfg = an::CampaignConfig::quick();
   cfg.seed = 7;
   cfg.workload_scale *= 0.2;  // keep this test fast
-  an::DeltaCampaign a(cfg);
-  an::DeltaCampaign b(cfg);
+  gt::AnalyzedCampaign a(cfg);
+  gt::AnalyzedCampaign b(cfg);
   a.run();
   b.run();
   EXPECT_EQ(a.raw_log_lines(), b.raw_log_lines());
@@ -195,8 +197,8 @@ TEST(CampaignRegexParser, MatchesFastParserAtCampaignScale) {
   an::CampaignConfig regex_cfg = base;
   regex_cfg.pipeline.use_regex_parser = true;
 
-  an::DeltaCampaign fast(base);
-  an::DeltaCampaign ref(regex_cfg);
+  gt::AnalyzedCampaign fast(base);
+  gt::AnalyzedCampaign ref(regex_cfg);
   fast.run();
   ref.run();
   ASSERT_EQ(fast.pipeline().errors().size(), ref.pipeline().errors().size());
@@ -217,7 +219,7 @@ TEST(CampaignRegexParser, MatchesFastParserAtCampaignScale) {
 TEST(CampaignNoJobs, ClusterOnlyCampaignWorks) {
   an::CampaignConfig cfg = an::CampaignConfig::quick();
   cfg.with_jobs = false;
-  an::DeltaCampaign c(cfg);
+  gt::AnalyzedCampaign c(cfg);
   c.run();
   EXPECT_GT(c.pipeline().errors().size(), 100u);
   EXPECT_TRUE(c.job_records().empty());

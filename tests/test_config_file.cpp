@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include "analysis/config_file.h"
+#include "analyzed_campaign.h"
 
 namespace an = gpures::analysis;
 namespace ct = gpures::common;
+namespace gt = gpures::testing;
 
 TEST(ConfigFile, AppliesOverrides) {
   const auto base = an::CampaignConfig::quick();
@@ -101,7 +103,7 @@ TEST(ConfigFile, DrivesCampaignBehaviourEndToEnd) {
       "noise_lines_per_day = 0\n",
       base);
   ASSERT_TRUE(cfg.ok()) << cfg.error().message;
-  an::DeltaCampaign campaign(cfg.value());
+  gt::AnalyzedCampaign campaign(cfg.value());
   campaign.run();
   bool saw_gsp = false;
   bool saw_other = false;

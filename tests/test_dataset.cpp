@@ -4,6 +4,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <string>
 
 #ifndef _WIN32
 #include <unistd.h>
@@ -11,11 +13,14 @@
 
 #include "analysis/campaign.h"
 #include "analysis/dataset.h"
+#include "analyzed_campaign.h"
+#include "common/io.h"
 #include "serve/serve.h"
 
 namespace an = gpures::analysis;
 namespace cl = gpures::cluster;
 namespace ct = gpures::common;
+namespace gt = gpures::testing;
 namespace ls = gpures::logsys;
 namespace sv = gpures::serve;
 namespace fs = std::filesystem;
@@ -281,7 +286,7 @@ TEST(Dataset, CampaignTeeRoundTrip) {
   manifest.periods = an::StudyPeriods::make(
       cfg.faults.study_begin, cfg.faults.op_begin, cfg.faults.study_end);
 
-  an::DeltaCampaign campaign(cfg);
+  gt::AnalyzedCampaign campaign(cfg);
   an::DatasetWriter writer(dir, manifest);
   campaign.set_dataset_writer(&writer);
   campaign.run();
@@ -309,4 +314,59 @@ TEST(Dataset, CampaignTeeRoundTrip) {
   EXPECT_EQ(pipe.lifecycle().size(), mem.lifecycle().size());
   EXPECT_EQ(pipe.counters().accounting_errors, 0u);
   fs::remove_all(dir);
+}
+
+TEST(Dataset, GenerationIsIndependentOfAnalysis) {
+  // The campaign only generates: attaching an in-memory pipeline must not
+  // change a byte it writes, at any thread count.
+  an::CampaignConfig base = an::CampaignConfig::quick();
+  base.seed = 7;
+  an::DatasetManifest manifest;
+  manifest.name = "delta-a100-quick";
+  manifest.spec = base.spec;
+  manifest.periods = an::StudyPeriods::make(
+      base.faults.study_begin, base.faults.op_begin, base.faults.study_end);
+
+  const auto write = [&](std::uint32_t threads, bool analyzed) {
+    const auto dir = temp_dir("generation_" + std::to_string(getpid()) + "_" +
+                              std::to_string(threads) +
+                              (analyzed ? "_analyzed" : "_plain"));
+    an::CampaignConfig cfg = base;
+    cfg.pipeline.num_threads = threads;
+    an::DeltaCampaign campaign(cfg);
+    an::AnalysisPipeline pipe(campaign.topology(), campaign.config().pipeline);
+    if (analyzed) campaign.set_analysis(&pipe);
+    an::DatasetWriter writer(dir, manifest);
+    campaign.set_dataset_writer(&writer);
+    campaign.run();
+    EXPECT_TRUE(writer.finalize().ok());
+    if (analyzed) EXPECT_GT(pipe.errors().size(), 100u);
+    std::map<std::string, std::string> files;
+    for (const auto& e : fs::recursive_directory_iterator(dir)) {
+      if (!e.is_regular_file()) continue;
+      auto text = ct::read_file(e.path().string());
+      EXPECT_TRUE(text.ok());
+      files[fs::relative(e.path(), dir).string()] = std::move(text).take();
+    }
+    fs::remove_all(dir);
+    return files;
+  };
+
+  const auto reference = write(0, false);
+  ASSERT_GT(reference.size(), 80u);  // ~90 day files, accounting, manifest
+  ASSERT_TRUE(reference.count("slurm_accounting.txt"));
+  for (const std::uint32_t threads : {0u, 4u}) {
+    for (const bool analyzed : {false, true}) {
+      if (threads == 0 && !analyzed) continue;
+      const auto files = write(threads, analyzed);
+      EXPECT_EQ(files.size(), reference.size());
+      for (const auto& [name, bytes] : reference) {
+        const auto it = files.find(name);
+        ASSERT_NE(it, files.end()) << name;
+        EXPECT_TRUE(it->second == bytes)
+            << name << " differs at " << threads << " threads, "
+            << (analyzed ? "with" : "without") << " a pipeline";
+      }
+    }
+  }
 }

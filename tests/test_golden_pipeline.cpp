@@ -31,6 +31,7 @@
 #include "analysis/dataset.h"
 #include "analysis/export.h"
 #include "analysis/reports.h"
+#include "analyzed_campaign.h"
 #include "common/io.h"
 #include "ingest_helpers.h"
 #include "serve/serve.h"
@@ -77,7 +78,7 @@ class GoldenPipeline : public ::testing::Test {
         cfg.faults.study_begin, cfg.faults.op_begin, cfg.faults.study_end);
 
     writer_ = new an::DatasetWriter(dataset_dir_, manifest);
-    campaign_ = new an::DeltaCampaign(cfg);
+    campaign_ = new gt::AnalyzedCampaign(cfg);
     campaign_->set_dataset_writer(writer_);
     campaign_->run();
     writer_->finalize();
@@ -141,12 +142,12 @@ class GoldenPipeline : public ::testing::Test {
                                    "regenerate with GPURES_UPDATE_GOLDEN=1";
   }
 
-  static an::DeltaCampaign* campaign_;
+  static gt::AnalyzedCampaign* campaign_;
   static an::DatasetWriter* writer_;
   static fs::path dataset_dir_;
 };
 
-an::DeltaCampaign* GoldenPipeline::campaign_ = nullptr;
+gt::AnalyzedCampaign* GoldenPipeline::campaign_ = nullptr;
 an::DatasetWriter* GoldenPipeline::writer_ = nullptr;
 fs::path GoldenPipeline::dataset_dir_;
 

@@ -25,6 +25,7 @@
 #include "analysis/error_stats.h"
 #include "analysis/job_impact.h"
 #include "analysis/pipeline.h"
+#include "analyzed_campaign.h"
 #include "cluster/topology.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -36,6 +37,7 @@
 
 namespace an = gpures::analysis;
 namespace ct = gpures::common;
+namespace gt = gpures::testing;
 namespace gx = gpures::xid;
 namespace ix = gpures::index;
 namespace obs = gpures::obs;
@@ -51,7 +53,7 @@ class QueryDifferential : public ::testing::Test {
     an::CampaignConfig cfg = an::CampaignConfig::quick();
     cfg.seed = 23;
     cfg.workload_scale *= 0.3;
-    campaign_ = new an::DeltaCampaign(cfg);
+    campaign_ = new gt::AnalyzedCampaign(cfg);
     campaign_->run();
     avail_ = new an::AvailabilityStats(campaign_->pipeline().availability());
 
@@ -93,13 +95,13 @@ class QueryDifferential : public ::testing::Test {
     campaign_ = nullptr;
   }
 
-  static an::DeltaCampaign* campaign_;
+  static gt::AnalyzedCampaign* campaign_;
   static an::AvailabilityStats* avail_;
   static ix::IndexReader* reader_;
   static std::string path_;
 };
 
-an::DeltaCampaign* QueryDifferential::campaign_ = nullptr;
+gt::AnalyzedCampaign* QueryDifferential::campaign_ = nullptr;
 an::AvailabilityStats* QueryDifferential::avail_ = nullptr;
 ix::IndexReader* QueryDifferential::reader_ = nullptr;
 std::string QueryDifferential::path_;
@@ -145,7 +147,7 @@ std::uint16_t canonical_xid(std::uint16_t xid) {
 
 /// Reference count: a naive full scan of the pipeline's coalesced errors,
 /// then the same MTBE arithmetic the batch reports use.
-ix::CountResult ref_count(const an::DeltaCampaign& campaign,
+ix::CountResult ref_count(const gt::AnalyzedCampaign& campaign,
                           std::uint32_t node_count, const ix::Predicate& p) {
   ix::CountResult out;
   out.window_hours = ct::to_hours(p.to - p.from);
@@ -167,7 +169,7 @@ ix::CountResult ref_count(const an::DeltaCampaign& campaign,
 
 /// Reference impact: the batch compute_job_impact over a node-filtered copy
 /// of the job table with the predicate window as the analysis period.
-an::JobImpact ref_impact(const an::DeltaCampaign& campaign,
+an::JobImpact ref_impact(const gt::AnalyzedCampaign& campaign,
                          const ix::Predicate& p, ct::Duration window,
                          an::Attribution attribution) {
   an::JobTable table = campaign.pipeline().jobs();  // spill stays aligned
@@ -192,7 +194,7 @@ an::JobImpact ref_impact(const an::DeltaCampaign& campaign,
 
 /// Reference availability: filter + sort the pipeline's intervals exactly as
 /// the artifact stores them, then the documented fold and formulas.
-ix::AvailabilityResult ref_availability(const an::DeltaCampaign& campaign,
+ix::AvailabilityResult ref_availability(const gt::AnalyzedCampaign& campaign,
                                         const an::AvailabilityStats& avail,
                                         std::uint32_t node_count,
                                         const ix::Predicate& p) {

@@ -4,17 +4,20 @@
 // Instrumentation observes; it must never perturb.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "analysis/campaign.h"
 #include "analysis/dataset.h"
 #include "analysis/export.h"
 #include "analysis/markdown_report.h"
 #include "analysis/reports.h"
+#include "analyzed_campaign.h"
 #include "common/json.h"
 #include "ingest_helpers.h"
 #include "obs/log.h"
@@ -81,7 +84,7 @@ fs::path temp_dir(const std::string& name) {
 
 TEST(ObsDifferential, CampaignWithMetricsAndTraceMatchesPlainRun) {
   // Baseline: no shared registry, no tracer.
-  an::DeltaCampaign plain(small_campaign(11));
+  gt::AnalyzedCampaign plain(small_campaign(11));
   plain.run();
   const auto baseline = rendered_artifacts(plain.pipeline());
   ASSERT_FALSE(plain.pipeline().errors().empty());
@@ -95,7 +98,7 @@ TEST(ObsDifferential, CampaignWithMetricsAndTraceMatchesPlainRun) {
   std::size_t instrumented_errors = 0;
   {
     TracerGuard guard(&tracer);
-    an::DeltaCampaign obs(cfg);
+    gt::AnalyzedCampaign obs(cfg);
     obs.run();
     instrumented = rendered_artifacts(obs.pipeline());
     instrumented_errors = obs.pipeline().errors().size();
@@ -241,8 +244,8 @@ TEST(ObsDifferential, FullTelemetryStackDoesNotPerturbArtifacts) {
 }
 
 TEST(ObsDifferential, PerWorkerCountersPartitionTheTotals) {
-  // The per-worker Stage-I counters must sum to the stage totals — in serial
-  // mode (one slot) and in parallel mode (num_threads slots).
+  // The pipe.* counters a pipeline reports are the registry's — in serial
+  // mode and in parallel mode.
   const auto dir = temp_dir("workers");
   {
     an::DatasetManifest manifest;
@@ -269,23 +272,47 @@ TEST(ObsDifferential, PerWorkerCountersPartitionTheTotals) {
     gt::feed_pipeline(dir, pipe);
 
     const auto& reg = pipe.metrics();
-    const std::uint32_t slots = threads == 0 ? 1 : threads;
-    std::uint64_t worker_lines = 0;
-    std::uint64_t worker_days = 0;
-    for (std::uint32_t w = 0; w < slots; ++w) {
-      const std::string p = "pipe.worker." + std::to_string(w) + ".";
-      worker_lines += reg.counter_value(p + "lines");
-      worker_days += reg.counter_value(p + "days_parsed");
-    }
-    EXPECT_EQ(worker_lines, reg.counter_value("pipe.log_lines"))
-        << threads << " threads";
-    EXPECT_EQ(worker_days, 90u) << threads << " threads";
-    // No counts leak past the configured worker slots.
-    EXPECT_EQ(reg.counter_value("pipe.worker." + std::to_string(slots) +
-                                ".lines"),
-              0u);
     // The struct view matches the registry.
     EXPECT_EQ(pipe.counters().log_lines, reg.counter_value("pipe.log_lines"));
   }
   fs::remove_all(dir);
+}
+
+TEST(ObsDifferential, StageThreeShardChildrenSumToJobsScanned) {
+  // The exposure join reports its per-shard tallies as two labeled families
+  // with one {shard="N"} child per worker slot; the children sum to the jobs
+  // the join scanned and to the exposures it found.
+  for (const std::uint32_t threads : {0u, 4u}) {
+    auto cfg = small_campaign(37);
+    cfg.pipeline.num_threads = threads;
+    gt::AnalyzedCampaign campaign(cfg);
+    campaign.run();
+    const auto& pipe = campaign.pipeline();
+    const auto impact = pipe.job_impact();
+    ASSERT_GT(impact.jobs_analyzed, 0u);
+
+    std::uint64_t jobs = 0;
+    std::uint64_t exposed = 0;
+    std::vector<std::string> shards;
+    for (const auto& c : pipe.metrics().snapshot().counters) {
+      if (c.family == "pipe.stage3.shard_jobs") {
+        jobs += c.value;
+        ASSERT_EQ(c.labels.size(), 1u);
+        EXPECT_EQ(c.labels[0].key, "shard");
+        shards.push_back(c.labels[0].value);
+      } else if (c.family == "pipe.stage3.shard_exposed") {
+        exposed += c.value;
+      }
+    }
+    EXPECT_EQ(jobs, impact.jobs_analyzed) << threads << " threads";
+    EXPECT_EQ(exposed, pipe.metrics().counter_value("pipe.stage3.exposures"))
+        << threads << " threads";
+    const std::size_t slots = threads == 0 ? 1 : threads;
+    ASSERT_EQ(shards.size(), slots) << threads << " threads";
+    for (std::size_t s = 0; s < slots; ++s) {
+      EXPECT_NE(std::find(shards.begin(), shards.end(), std::to_string(s)),
+                shards.end())
+          << "shard " << s;
+    }
+  }
 }

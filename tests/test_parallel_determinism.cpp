@@ -1,5 +1,5 @@
 // Differential tests for the parallel pipeline: for any worker count, the
-// day-sharded Stage I + GPU-sharded Stage II + ordered merge must produce
+// range-split Stage I + range-ordered merge + streaming Stage II must produce
 // results *identical* to the serial pipeline — same errors (every field),
 // same lifecycle records, same counters, same rendered artifacts.  This is
 // the equivalence the golden-file harness and the speedup headline rest on.
@@ -13,12 +13,14 @@
 #include "analysis/export.h"
 #include "analysis/pipeline.h"
 #include "analysis/reports.h"
+#include "analyzed_campaign.h"
 #include "common/rng.h"
 #include "logsys/syslog.h"
 
 namespace an = gpures::analysis;
 namespace cl = gpures::cluster;
 namespace ct = gpures::common;
+namespace gt = gpures::testing;
 namespace gx = gpures::xid;
 namespace ls = gpures::logsys;
 
@@ -146,8 +148,6 @@ TEST_P(ParallelDeterminism, SyntheticCampaignMatchesSerialExactly) {
   an::PipelineConfig serial_cfg;
   an::PipelineConfig par_cfg;
   par_cfg.num_threads = param.threads;
-  // A small batch forces several Stage-I flush cycles per run.
-  par_cfg.stage1_batch_days = 3;
 
   an::AnalysisPipeline serial(topo, serial_cfg);
   an::AnalysisPipeline parallel(topo, par_cfg);
@@ -189,7 +189,6 @@ TEST(ParallelDeterminism, ParallelRunsAgreeWithEachOther) {
   a_cfg.num_threads = 2;
   an::PipelineConfig b_cfg;
   b_cfg.num_threads = 5;
-  b_cfg.stage1_batch_days = 1;
   an::AnalysisPipeline a(topo, a_cfg);
   an::AnalysisPipeline b(topo, b_cfg);
   ingest_synthetic(a, topo, 9, 10);
@@ -206,8 +205,8 @@ TEST(ParallelDeterminism, FullCampaignWithJobsMatchesSerialExactly) {
   an::CampaignConfig par = cfg;
   par.pipeline.num_threads = 4;
 
-  an::DeltaCampaign serial(cfg);
-  an::DeltaCampaign parallel(par);
+  gt::AnalyzedCampaign serial(cfg);
+  gt::AnalyzedCampaign parallel(par);
   serial.run();
   parallel.run();
 

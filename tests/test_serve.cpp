@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -17,10 +18,12 @@
 #include "analysis/pipeline.h"
 #include "cluster/topology.h"
 #include "common/io.h"
+#include "common/json.h"
 #include "common/time.h"
 #include "index/writer.h"
 #include "ingest_helpers.h"
 #include "logsys/syslog.h"
+#include "obs/trace.h"
 #include "serve/serve.h"
 #include "slurm/accounting.h"
 
@@ -31,6 +34,7 @@ namespace gt = gpures::testing;
 namespace gx = gpures::xid;
 namespace ix = gpures::index;
 namespace ls = gpures::logsys;
+namespace ob = gpures::obs;
 namespace sl = gpures::slurm;
 namespace sv = gpures::serve;
 namespace fs = std::filesystem;
@@ -683,6 +687,31 @@ TEST(Serve, CleanDrainRaisesNoStallWarnings) {
     EXPECT_EQ(stalled.max(), 0) << threads << " threads";
     EXPECT_EQ(s.quality().days_present, 30u);
   }
+  fs::remove_all(dir);
+}
+
+TEST(Serve, DrainTraceNamesTheAccountingLayer) {
+  // A tick's day parse (stage1.parse) and accounting parse
+  // (accounting.ingest) are separate spans, and the accounting span is one
+  // per chunk, not one per row.
+  const auto dir = make_dataset("acct_span", 6);
+  ob::Tracer tracer;
+  ob::Tracer::install(&tracer);
+  sv::ServeSession s(base_config(dir, 0));
+  const bool ok = s.open(false).ok() && s.drain().ok();
+  ob::Tracer::install(nullptr);
+  ASSERT_TRUE(ok);
+  const auto doc = ct::parse_json(tracer.to_chrome_json());
+  ASSERT_TRUE(doc.ok()) << doc.error().message;
+  std::map<std::string, std::uint64_t> spans;
+  for (const auto& e : doc.value().at("traceEvents").items()) {
+    ++spans[e.at("name").as_string()];
+  }
+  EXPECT_GT(spans["stage1.parse"], 0u);
+  EXPECT_GT(spans["serve.tick"], 0u);
+  ASSERT_GT(spans["accounting.ingest"], 0u);
+  ASSERT_GT(s.counters().accounting_lines, 2u);
+  EXPECT_LT(spans["accounting.ingest"], s.counters().accounting_lines);
   fs::remove_all(dir);
 }
 

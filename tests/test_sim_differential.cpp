@@ -19,12 +19,14 @@
 #include "analysis/dataset.h"
 #include "analysis/export.h"
 #include "analysis/reports.h"
+#include "analyzed_campaign.h"
 #include "cluster/topology.h"
 #include "index/writer.h"
 #include "xid/xid.h"
 
 namespace an = gpures::analysis;
 namespace cl = gpures::cluster;
+namespace gt = gpures::testing;
 namespace ix = gpures::index;
 namespace fs = std::filesystem;
 
@@ -77,7 +79,7 @@ RunArtifacts run_campaign(an::CampaignConfig cfg, const std::string& tag) {
   manifest.periods = an::StudyPeriods::make(
       cfg.faults.study_begin, cfg.faults.op_begin, cfg.faults.study_end);
   an::DatasetWriter writer(dir, manifest);
-  an::DeltaCampaign campaign(cfg);
+  gt::AnalyzedCampaign campaign(cfg);
   campaign.set_dataset_writer(&writer);
   campaign.run();
   EXPECT_TRUE(writer.finalize().ok());

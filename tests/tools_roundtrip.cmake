@@ -6,9 +6,21 @@ file(MAKE_DIRECTORY "${WORKDIR}")
 
 execute_process(
   COMMAND "${SIMULATE}" --out "${WORKDIR}/ds" --quick --seed 5 --scale 0.1
+          --metrics "${WORKDIR}/sim_metrics.json"
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "gpures-simulate failed (${rc}): ${out} ${err}")
+endif()
+
+# Simulation only generates: no Stage-I line is parsed while writing.
+file(READ "${WORKDIR}/sim_metrics.json" sim_metrics)
+string(FIND "${sim_metrics}" "\"pipe.log_lines\"" pos)
+if(NOT pos EQUAL -1)
+  message(FATAL_ERROR "gpures-simulate --metrics holds pipe.log_lines")
+endif()
+string(FIND "${sim_metrics}" "\"counters\"" pos)
+if(pos EQUAL -1)
+  message(FATAL_ERROR "gpures-simulate --metrics has no counters: ${sim_metrics}")
 endif()
 
 execute_process(
