@@ -3,14 +3,46 @@
 #include <cstdio>
 
 #include "analysis/mitigation.h"
+#include "analysis/pipeline.h"
 #include "analysis/reports.h"
-#include "analysis/reproduction.h"
 #include "analysis/survival.h"
 #include "analysis/trends.h"
 
 namespace gpures::analysis {
 
 namespace {
+
+using R = Stage3Results;
+
+constexpr ReportSection kSections[] = {
+    {"table1", "Error counts and MTBE (Table I)", false,
+     [](const Stage3&, const R& r) { return render_table1(r.error_stats); }},
+    {"findings", "Headline findings", false,
+     [](const Stage3&, const R& r) { return render_findings(r.error_stats); }},
+    {"table2", "GPU error impact on jobs (Table II)", true,
+     [](const Stage3&, const R& r) { return render_table2(r.job_impact); }},
+    {"table3", "Job population (Table III)", true,
+     [](const Stage3&, const R& r) { return render_table3(r.job_stats); }},
+    {"fig2", "Unavailability and availability (Fig. 2)", false,
+     [](const Stage3&, const R& r) {
+       return render_fig2(r.availability, r.mttf_h);
+     }},
+    {"trends", "Trends, burstiness, concentration", false,
+     [](const Stage3& run, const R&) {
+       return render_trends(run.rows().errors, run.config().periods,
+                            run.pool());
+     }},
+    {"mitigation", "Mitigation what-ifs", true,
+     [](const Stage3& run, const R&) {
+       return render_mitigation(run.rows().jobs, run.rows().errors,
+                                run.impact_config(), run.pool());
+     }},
+    {"survival", "Survival analysis", false,
+     [](const Stage3& run, const R&) {
+       return render_survival(run.rows().errors, run.config().periods,
+                              run.topo().total_gpus(), run.pool());
+     }},
+};
 
 /// Monospace block: the ASCII tables render cleanly inside fenced code.
 void section(std::string& out, const std::string& heading,
@@ -22,14 +54,23 @@ void section(std::string& out, const std::string& heading,
 
 }  // namespace
 
-std::string render_markdown_report(const Stage3& run, const PipeCounts& c,
-                                   const MarkdownReportOptions& opts) {
-  std::string out;
-  out += "# " + opts.title + "\n\n";
+std::span<const ReportSection> report_sections() { return kSections; }
+
+bool is_report_name(std::string_view report) {
+  if (report == "all" || report == "none") return true;
+  for (const auto& s : kSections) {
+    if (report == s.name) return true;
+  }
+  return false;
+}
+
+std::string render_markdown_report(const Stage3& run, const Stage3Results& r,
+                                   const PipeCounts& c,
+                                   const DataQualityReport* quality) {
+  std::string out = "# GPU resilience characterization\n\n";
 
   const auto& periods = run.config().periods;
   const auto& topo = run.topo();
-  const auto& errors = run.rows().errors;
   const auto& jobs = run.rows().jobs;
   char buf[512];
   std::snprintf(
@@ -44,53 +85,16 @@ std::string render_markdown_report(const Stage3& run, const PipeCounts& c,
       static_cast<unsigned long long>(c.xid_records),
       static_cast<unsigned long long>(c.lifecycle_records),
       static_cast<unsigned long long>(c.rejected_lines),
-      jobs.jobs.size(), errors.size());
+      jobs.jobs.size(), run.rows().errors.size());
   out += buf;
 
-  const auto stats = run.error_stats();
-  const bool have_jobs = !jobs.jobs.empty();
-
-  if (opts.quality != nullptr) {
-    out += opts.quality->to_markdown();
+  if (quality != nullptr) {
+    out += quality->to_markdown();
     out += '\n';
   }
-  if (opts.include_table1) {
-    section(out, "Error counts and MTBE (Table I)", render_table1(stats));
-  }
-  if (opts.include_findings) {
-    section(out, "Headline findings", render_findings(stats));
-  }
-  if (opts.include_table2 && have_jobs) {
-    section(out, "GPU error impact on jobs (Table II)",
-            render_table2(run.job_impact()));
-  }
-  if (opts.include_table3 && have_jobs) {
-    section(out, "Job population (Table III)", render_table3(run.job_stats()));
-  }
-  if (opts.include_fig2) {
-    section(out, "Unavailability and availability (Fig. 2)",
-            render_fig2(run.availability(), run.mttf_estimate_h()));
-  }
-  if (opts.include_trends) {
-    section(out, "Trends, burstiness, concentration",
-            render_trends(errors, periods, run.pool()));
-  }
-  if (opts.include_survival) {
-    section(out, "Survival analysis",
-            render_survival(errors, periods, topo.total_gpus(), run.pool()));
-  }
-  if (opts.include_mitigation && have_jobs) {
-    section(out, "Mitigation what-ifs",
-            render_mitigation(jobs, errors, run.impact_config(), run.pool()));
-  }
-  if (opts.include_scorecard) {
-    const auto impact = have_jobs ? run.job_impact() : JobImpact{};
-    const auto population = have_jobs ? run.job_stats() : JobStats{};
-    const auto avail = run.availability();
-    const auto card = score_reproduction(
-        &stats, have_jobs ? &impact : nullptr,
-        have_jobs ? &population : nullptr, &avail, run.mttf_estimate_h());
-    section(out, "Reproduction scorecard", card.render());
+  for (const auto& s : kSections) {
+    if (s.needs_jobs && jobs.jobs.empty()) continue;
+    section(out, s.heading, s.render(run, r));
   }
   return out;
 }

@@ -120,14 +120,7 @@ AnalysisPipeline::AnalysisPipeline(const cluster::Topology& topo,
         m_->errors_coalesced->inc();
       });
 
-  Stage3Config s3;
-  s3.periods = cfg_.periods;
-  s3.outlier_share = cfg_.outlier_share;
-  s3.outlier_min = cfg_.outlier_min;
-  s3.attribution_window = cfg_.attribution_window;
-  s3.attribution = cfg_.attribution;
-  stage3_ = std::make_unique<Stage3>(topo_, std::move(s3), rows_, reg,
-                                     pool_.get());
+  stage3_ = std::make_unique<Stage3>(topo_, cfg_, rows_, reg, pool_.get());
 }
 
 AnalysisPipeline::~AnalysisPipeline() = default;

@@ -130,16 +130,16 @@ class AnalysisPipeline {
   ErrorStats error_stats() const { return stage3_->error_stats(); }
   /// Full characterization window.
   JobStats job_stats() const { return stage3_->job_stats(); }
-  /// Custom window.
-  JobStats job_stats(const Period& w) const { return stage3_->job_stats(w); }
   /// Operational period.
   JobImpact job_impact() const { return stage3_->job_impact(); }
   /// Operational period.
   AvailabilityStats availability() const { return stage3_->availability(); }
-  /// Conservative MTTF estimate: the all-error per-node MTBE in op (the
-  /// paper assumes every GPU error interrupts the node).
-  double mttf_estimate_h() const { return stage3_->mttf_estimate_h(); }
-  /// Stage III over this pipeline's rows (what the accessors above call).
+  /// See analysis::mttf_estimate_h(const ErrorStats&).
+  double mttf_estimate_h() const {
+    return analysis::mttf_estimate_h(error_stats());
+  }
+  /// Stage III over this pipeline's rows (what the accessors above call;
+  /// an emitter that wants them all calls stage3().results() once).
   const Stage3& stage3() const { return *stage3_; }
 
   // ---- diagnostics ----

@@ -3,14 +3,15 @@
 #include <chrono>
 #include <string>
 
+#include "analysis/pipeline.h"
 #include "obs/trace.h"
 
 namespace gpures::analysis {
 
-Stage3::Stage3(const cluster::Topology& topo, Stage3Config cfg,
+Stage3::Stage3(const cluster::Topology& topo, const PipelineConfig& cfg,
                const EmittedRows& rows, obs::MetricsRegistry& reg,
                common::ThreadPool* pool)
-    : topo_(topo), cfg_(std::move(cfg)), rows_(rows), pool_(pool) {
+    : topo_(topo), cfg_(cfg), rows_(rows), pool_(pool) {
   exposures_ = &reg.counter("pipe.stage3.exposures");
   join_us_ = &reg.histogram("pipe.stage3.exposure_join_us",
                             obs::latency_buckets_us());
@@ -27,6 +28,16 @@ Stage3::Stage3(const cluster::Topology& topo, Stage3Config cfg,
   }
 }
 
+Stage3Results Stage3::results() const {
+  Stage3Results r;
+  r.error_stats = error_stats();
+  r.job_impact = job_impact();
+  r.job_stats = job_stats();
+  r.availability = availability();
+  r.mttf_h = mttf_estimate_h(r.error_stats);
+  return r;
+}
+
 ErrorStats Stage3::error_stats() const {
   OBS_SPAN("stage3.error_stats");
   ErrorStatsConfig cfg;
@@ -36,11 +47,9 @@ ErrorStats Stage3::error_stats() const {
   return compute_error_stats(rows_.errors, cfg_.periods, cfg);
 }
 
-JobStats Stage3::job_stats() const { return job_stats(cfg_.periods.whole()); }
-
-JobStats Stage3::job_stats(const Period& w) const {
+JobStats Stage3::job_stats() const {
   OBS_SPAN("stage3.job_stats");
-  return compute_job_stats(rows_.jobs, w);
+  return compute_job_stats(rows_.jobs, cfg_.periods.whole());
 }
 
 JobImpactConfig Stage3::impact_config() const {
@@ -78,10 +87,6 @@ AvailabilityStats Stage3::availability() const {
   cfg.period = cfg_.periods.op;
   cfg.node_count = topo_.node_count();
   return compute_availability(rows_.lifecycle, cfg, pool_);
-}
-
-double Stage3::mttf_estimate_h() const {
-  return error_stats().total.op.mtbe_per_node_h;
 }
 
 }  // namespace gpures::analysis

@@ -14,7 +14,6 @@
 #include "analysis/extraction.h"
 #include "analysis/job_impact.h"
 #include "analysis/job_stats.h"
-#include "analysis/periods.h"
 #include "cluster/topology.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
@@ -62,38 +61,44 @@ struct EmittedRows {
   }
 };
 
-/// The analysis knobs Stage III reads.
-struct Stage3Config {
-  StudyPeriods periods = StudyPeriods::delta();
-  /// Outlier handling for the aggregate MTBE (see ErrorStatsConfig).
-  double outlier_share = 0.5;
-  std::uint64_t outlier_min = 1000;
-  /// Job-failure attribution window (paper: 20 s).
-  common::Duration attribution_window = 20;
-  Attribution attribution = Attribution::kGpuLevel;
+struct PipelineConfig;  // analysis/pipeline.h
+
+/// Every Stage-III result of a run, computed once by Stage3::results() and
+/// handed to every emitter.
+struct Stage3Results {
+  ErrorStats error_stats;          ///< Table I
+  JobImpact job_impact;            ///< Table II, operational period
+  JobStats job_stats;              ///< Table III, full characterization window
+  AvailabilityStats availability;  ///< Fig. 2, operational period
+  double mttf_h = 0.0;             ///< mttf_estimate_h(error_stats)
 };
 
+/// Conservative MTTF estimate: the all-error per-node MTBE in op (the paper
+/// assumes every GPU error interrupts the node).
+inline double mttf_estimate_h(const ErrorStats& stats) {
+  return stats.total.op.mtbe_per_node_h;
+}
+
 /// Stage III over a run's rows: error statistics (Table I), job impact
-/// (Table II), job population (Table III) and availability (Fig. 2).  Each
-/// call opens its stage3.* span; the exposure join also feeds the
-/// pipe.stage3.* metrics (the `pipe.stage3.shard_jobs` and
-/// `pipe.stage3.shard_exposed` families, one `{shard="N"}` child per worker
-/// slot).  The rows are read at call time, so results reflect the run once
-/// its pipeline has finished and sorted them.
+/// (Table II), job population (Table III) and availability (Fig. 2), with
+/// the analysis knobs of the pipeline's PipelineConfig.  Each call opens its
+/// stage3.* span; the exposure join also feeds the pipe.stage3.* metrics
+/// (the `pipe.stage3.shard_jobs` and `pipe.stage3.shard_exposed` families,
+/// one `{shard="N"}` child per worker slot).  The rows are read at call
+/// time, so results reflect the run once its pipeline has finished and
+/// sorted them.
 class Stage3 {
  public:
-  Stage3(const cluster::Topology& topo, Stage3Config cfg,
+  Stage3(const cluster::Topology& topo, const PipelineConfig& cfg,
          const EmittedRows& rows, obs::MetricsRegistry& reg,
          common::ThreadPool* pool);
 
+  /// All four results, each computed once: what a run's emitters share.
+  Stage3Results results() const;
   ErrorStats error_stats() const;
-  JobStats job_stats() const;                 ///< full characterization window
-  JobStats job_stats(const Period& w) const;  ///< custom window
-  JobImpact job_impact() const;               ///< operational period
-  AvailabilityStats availability() const;     ///< operational period
-  /// Conservative MTTF estimate: the all-error per-node MTBE in op (the
-  /// paper assumes every GPU error interrupts the node).
-  double mttf_estimate_h() const;
+  JobStats job_stats() const;              ///< full characterization window
+  JobImpact job_impact() const;            ///< operational period
+  AvailabilityStats availability() const;  ///< operational period
 
   /// The job-impact settings of job_impact(), for renders that rerun the
   /// attribution (mitigation what-ifs).
@@ -101,7 +106,7 @@ class Stage3 {
 
   const EmittedRows& rows() const { return rows_; }
   const cluster::Topology& topo() const { return topo_; }
-  const Stage3Config& config() const { return cfg_; }
+  const PipelineConfig& config() const { return cfg_; }
   /// Worker pool for sharded renders; null in serial mode.
   common::ThreadPool* pool() const { return pool_; }
 
@@ -112,7 +117,7 @@ class Stage3 {
   };
 
   const cluster::Topology& topo_;
-  Stage3Config cfg_;
+  const PipelineConfig& cfg_;
   const EmittedRows& rows_;
   common::ThreadPool* pool_;
   obs::Counter* exposures_ = nullptr;     ///< exposed jobs, all joins

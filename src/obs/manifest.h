@@ -40,7 +40,10 @@ struct RunManifest {
   std::string tool;         ///< e.g. "gpures-simulate"
   std::string dataset;      ///< dataset directory or name
   std::uint64_t seed = 0;
-  std::string config_hash;  ///< hex64(fnv1a64(serialized effective config))
+  /// hex64 of the effective configuration's hash: xxhash64 via
+  /// ServeSession::config_hash() in gpures-analyze, fnv1a64 of the campaign
+  /// config in gpures-simulate.
+  std::string config_hash;
   std::string version = version_string();
   std::string host = hostname_string();
   std::uint32_t threads = 0;

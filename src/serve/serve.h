@@ -160,7 +160,7 @@ class ServeSession {
   analysis::AvailabilityStats availability() const {
     return stage3().availability();
   }
-  double mttf_estimate_h() const { return stage3().mttf_estimate_h(); }
+  double mttf_estimate_h() const { return pipeline().mttf_estimate_h(); }
   /// Stage III over the session's rows (valid after open()).
   const analysis::Stage3& stage3() const { return pipeline().stage3(); }
   /// Snapshot of the pipe.* Stage-I/II counters (valid after open()).

@@ -3,7 +3,9 @@
 # lenient policy) they must write the same index, export JSON, quality
 # report and stdout reports, at any --threads.  An armed I/O fault must
 # leave its day both skipped and degraded in the quality report, and the
-# removed --regex flag must be a usage error.
+# removed --regex flag and an unknown --report must be usage errors.  An
+# all-artifacts run computes Stage III once, and the provenance record tells
+# a strict run from a lenient one.
 file(REMOVE_RECURSE "${WORKDIR}")
 file(MAKE_DIRECTORY "${WORKDIR}")
 
@@ -73,4 +75,55 @@ execute_process(COMMAND "${ANALYZE}" --data "${ds}" --regex
   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
 if(NOT rc EQUAL 2)
   message(FATAL_ERROR "gpures-analyze --regex exited ${rc}, want 2")
+endif()
+
+# ---- an unknown --report is a usage error in both tools ----
+set(clean "${WORKDIR}/clean")
+foreach(tool "${ANALYZE}" "${SERVE}")
+  execute_process(COMMAND "${tool}" --data "${clean}" --report bogus
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_QUIET)
+  if(NOT rc EQUAL 2 OR NOT out STREQUAL "")
+    message(FATAL_ERROR "${tool} --report bogus exited ${rc}, want 2 "
+                        "and no report: ${out}")
+  endif()
+endforeach()
+
+# ---- Stage III runs once, however many artifacts share its results ----
+run("all-artifacts gpures-analyze"
+  "${ANALYZE}" --data "${clean}" --threads 4 --report all
+  --export-csv "${WORKDIR}/once_csv" --export-json "${WORKDIR}/once.json"
+  --report-md "${WORKDIR}/once.md" --write-index "${WORKDIR}/once.idx"
+  --trace "${WORKDIR}/once_trace.json" --metrics "${WORKDIR}/once_m.json"
+  --quiet)
+file(READ "${WORKDIR}/once_trace.json" trace)
+foreach(span error_stats job_impact job_stats availability)
+  string(REGEX MATCHALL "\"stage3\\.${span}\"" hits "${trace}")
+  list(LENGTH hits n)
+  if(NOT n EQUAL 1)
+    message(FATAL_ERROR "stage3.${span} ran ${n} times, want 1")
+  endif()
+endforeach()
+run("--report none gpures-analyze"
+  "${ANALYZE}" --data "${clean}" --threads 4 --report none
+  --metrics "${WORKDIR}/none_m.json" --quiet)
+file(READ "${WORKDIR}/once_m.json" once_m)
+file(READ "${WORKDIR}/none_m.json" none_m)
+string(JSON once_exp GET "${once_m}" counters "pipe.stage3.exposures")
+string(JSON none_exp GET "${none_m}" counters "pipe.stage3.exposures")
+if(once_exp EQUAL 0 OR NOT once_exp EQUAL none_exp)
+  message(FATAL_ERROR "pipe.stage3.exposures: ${once_exp} with every "
+                      "artifact, ${none_exp} with none; want equal, nonzero")
+endif()
+
+# ---- provenance: strict and lenient runs record different config hashes ----
+foreach(policy strict lenient)
+  run("${policy} gpures-analyze"
+    "${ANALYZE}" --data "${clean}" --ingest-policy ${policy} --report none
+    --export-csv "${WORKDIR}/${policy}_csv" --quiet)
+  file(READ "${WORKDIR}/${policy}_csv/run_manifest.json" manifest)
+  string(JSON ${policy}_hash GET "${manifest}" config_hash)
+endforeach()
+if(strict_hash STREQUAL lenient_hash)
+  message(FATAL_ERROR "strict and lenient runs share config_hash "
+                      "${strict_hash}")
 endif()

@@ -1,9 +1,15 @@
-// Markdown report generation.
+// Stage III's one results value, the report sections, and the markdown
+// report built from them.
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "analysis/export.h"
 #include "analysis/markdown_report.h"
 #include "analysis/pipeline.h"
+#include "common/json.h"
 #include "logsys/syslog.h"
+#include "obs/trace.h"
 #include "slurm/accounting.h"
 
 namespace an = gpures::analysis;
@@ -11,6 +17,7 @@ namespace cl = gpures::cluster;
 namespace ct = gpures::common;
 namespace gx = gpures::xid;
 namespace ls = gpures::logsys;
+namespace ob = gpures::obs;
 namespace sl = gpures::slurm;
 
 namespace {
@@ -57,17 +64,23 @@ struct Fixture {
 
 TEST(MarkdownReport, AllSectionsPresent) {
   Fixture f;
+  const auto& run = f.pipe.stage3();
   const auto md =
-      an::render_markdown_report(f.pipe.stage3(), f.pipe.counters());
+      an::render_markdown_report(run, run.results(), f.pipe.counters());
   EXPECT_TRUE(md.rfind("# GPU resilience characterization", 0) == 0);
+  // Every section, in stdout's --report order.
+  std::size_t last = 0;
   for (const char* heading :
        {"## Error counts and MTBE (Table I)", "## Headline findings",
         "## GPU error impact on jobs (Table II)",
         "## Job population (Table III)",
         "## Unavailability and availability (Fig. 2)",
-        "## Trends, burstiness, concentration", "## Survival analysis",
-        "## Mitigation what-ifs"}) {
-    EXPECT_NE(md.find(heading), std::string::npos) << heading;
+        "## Trends, burstiness, concentration", "## Mitigation what-ifs",
+        "## Survival analysis"}) {
+    const auto at = md.find(heading);
+    ASSERT_NE(at, std::string::npos) << heading;
+    EXPECT_GT(at, last) << heading;
+    last = at;
   }
   // Fenced code blocks are balanced.
   int fences = 0;
@@ -79,19 +92,6 @@ TEST(MarkdownReport, AllSectionsPresent) {
   EXPECT_GE(fences, 16);
 }
 
-TEST(MarkdownReport, SectionsToggleOff) {
-  Fixture f;
-  an::MarkdownReportOptions opts;
-  opts.title = "Custom title";
-  opts.include_trends = false;
-  opts.include_survival = false;
-  const auto md =
-      an::render_markdown_report(f.pipe.stage3(), f.pipe.counters(), opts);
-  EXPECT_NE(md.find("# Custom title"), std::string::npos);
-  EXPECT_EQ(md.find("## Trends"), std::string::npos);
-  EXPECT_EQ(md.find("## Survival"), std::string::npos);
-}
-
 TEST(MarkdownReport, JobSectionsSkippedWithoutJobs) {
   cl::Topology topo{cl::ClusterSpec::delta_a100()};
   an::AnalysisPipeline pipe(topo, Fixture::make_config());
@@ -101,19 +101,52 @@ TEST(MarkdownReport, JobSectionsSkippedWithoutJobs) {
                           "0000:07:00", gx::Code::kMmuError, "x") +
           "\n");
   pipe.finish();
-  const auto md = an::render_markdown_report(pipe.stage3(), pipe.counters());
+  const auto& run = pipe.stage3();
+  const auto md =
+      an::render_markdown_report(run, run.results(), pipe.counters());
   EXPECT_EQ(md.find("Table II"), std::string::npos);
   EXPECT_EQ(md.find("Table III"), std::string::npos);
   EXPECT_EQ(md.find("Mitigation"), std::string::npos);
   EXPECT_NE(md.find("Table I"), std::string::npos);
 }
 
-TEST(MarkdownReport, ScorecardSectionOptIn) {
+TEST(MarkdownReport, ReportNamesAreTheSectionsAllAndNone) {
+  for (const auto& s : an::report_sections()) {
+    EXPECT_TRUE(an::is_report_name(s.name)) << s.name;
+  }
+  EXPECT_TRUE(an::is_report_name("all"));
+  EXPECT_TRUE(an::is_report_name("none"));
+  EXPECT_FALSE(an::is_report_name("bogus"));
+  EXPECT_FALSE(an::is_report_name(""));
+  EXPECT_FALSE(an::is_report_name("Table1"));
+}
+
+TEST(Stage3, ResultsRunEachStageOnceAndMatchTheAccessors) {
   Fixture f;
-  an::MarkdownReportOptions opts;
-  opts.include_scorecard = true;
-  const auto md =
-      an::render_markdown_report(f.pipe.stage3(), f.pipe.counters(), opts);
-  EXPECT_NE(md.find("## Reproduction scorecard"), std::string::npos);
-  EXPECT_NE(md.find("shape match:"), std::string::npos);
+  const auto& run = f.pipe.stage3();
+  ob::Tracer tracer;
+  ob::Tracer::install(&tracer);
+  const auto r = run.results();
+  ob::Tracer::install(nullptr);
+  const auto doc = ct::parse_json(tracer.to_chrome_json());
+  ASSERT_TRUE(doc.ok()) << doc.error().message;
+  std::map<std::string, int> spans;
+  for (const auto& e : doc.value().at("traceEvents").items()) {
+    ++spans[e.at("name").as_string()];
+  }
+  for (const char* span : {"stage3.error_stats", "stage3.job_impact",
+                           "stage3.job_stats", "stage3.availability"}) {
+    EXPECT_EQ(spans[span], 1) << span;
+  }
+  EXPECT_EQ(r.mttf_h, f.pipe.mttf_estimate_h());
+
+  const auto stats = f.pipe.error_stats();
+  const auto impact = f.pipe.job_impact();
+  const auto jobs = f.pipe.job_stats();
+  const auto avail = f.pipe.availability();
+  an::ExportBundle one{&r.error_stats, &r.job_stats, &r.job_impact,
+                       &r.availability, r.mttf_h};
+  an::ExportBundle each{&stats, &jobs, &impact, &avail,
+                        f.pipe.mttf_estimate_h()};
+  EXPECT_EQ(an::to_json(one), an::to_json(each));
 }

@@ -70,7 +70,8 @@ std::string rendered_artifacts(const S& pipe) {
   bundle.availability = &avail;
   bundle.mttf_h = pipe.mttf_estimate_h();
   os << an::to_json(bundle);
-  os << an::render_markdown_report(pipe.stage3(), pipe.counters());
+  os << an::render_markdown_report(pipe.stage3(), pipe.stage3().results(),
+                                   pipe.counters());
   return os.str();
 }
 

@@ -722,26 +722,23 @@ namespace {
 template <typename S>
 std::string emitted_bytes(const S& src) {
   const auto& run = src.stage3();
-  const auto avail = run.availability();
+  const auto r = run.results();
   ix::IndexBuildInput in;
   in.periods = run.config().periods;
   in.topo = &run.topo();
   in.errors = &run.rows().errors;
   in.jobs = &run.rows().jobs;
-  in.unavailability = &avail.intervals;
+  in.unavailability = &r.availability.intervals;
   const auto idx = ix::serialize_index(in);
   EXPECT_TRUE(idx.ok()) << (idx.ok() ? "" : idx.error().message);
-  const auto stats = run.error_stats();
-  const auto impact = run.job_impact();
-  const auto jobs = run.job_stats();
   an::ExportBundle bundle;
-  bundle.error_stats = &stats;
-  bundle.job_stats = &jobs;
-  bundle.job_impact = &impact;
-  bundle.availability = &avail;
-  bundle.mttf_h = run.mttf_estimate_h();
+  bundle.error_stats = &r.error_stats;
+  bundle.job_stats = &r.job_stats;
+  bundle.job_impact = &r.job_impact;
+  bundle.availability = &r.availability;
+  bundle.mttf_h = r.mttf_h;
   return (idx.ok() ? idx.value() : std::string()) + an::to_json(bundle) +
-         an::render_markdown_report(run, src.counters());
+         an::render_markdown_report(run, r, src.counters());
 }
 
 }  // namespace

@@ -5,10 +5,6 @@
 
 #include "analysis/export.h"
 #include "analysis/markdown_report.h"
-#include "analysis/mitigation.h"
-#include "analysis/reports.h"
-#include "analysis/survival.h"
-#include "analysis/trends.h"
 #include "common/io.h"
 #include "index/writer.h"
 #include "obs/expfmt.h"
@@ -46,46 +42,13 @@ void count_ingest(const analysis::DataQualityReport& q,
 }
 
 void print_reports(const analysis::Stage3& run,
-                   const analysis::ErrorStats& stats,
+                   const analysis::Stage3Results& results,
                    const std::string& report) {
-  if (report == "none") return;
-  const auto& errors = run.rows().errors;
-  const auto& periods = run.config().periods;
-  const bool all = report == "all";
   const bool have_jobs = !run.rows().jobs.jobs.empty();
-  if (all || report == "table1") {
-    std::printf("%s\n", analysis::render_table1(stats).c_str());
-  }
-  if (all || report == "findings") {
-    std::printf("%s\n", analysis::render_findings(stats).c_str());
-  }
-  if ((all || report == "table2") && have_jobs) {
-    std::printf("%s\n", analysis::render_table2(run.job_impact()).c_str());
-  }
-  if ((all || report == "table3") && have_jobs) {
-    std::printf("%s\n", analysis::render_table3(run.job_stats()).c_str());
-  }
-  if (all || report == "fig2") {
-    std::printf("%s\n",
-                analysis::render_fig2(run.availability(), run.mttf_estimate_h())
-                    .c_str());
-  }
-  if (all || report == "trends") {
-    std::printf(
-        "%s\n",
-        analysis::render_trends(errors, periods, run.pool()).c_str());
-  }
-  if ((all || report == "mitigation") && have_jobs) {
-    std::printf("%s\n",
-                analysis::render_mitigation(run.rows().jobs, errors,
-                                            run.impact_config(), run.pool())
-                    .c_str());
-  }
-  if (all || report == "survival") {
-    std::printf("%s\n", analysis::render_survival(errors, periods,
-                                                  run.topo().total_gpus(),
-                                                  run.pool())
-                            .c_str());
+  for (const auto& s : analysis::report_sections()) {
+    if (report != "all" && report != s.name) continue;
+    if (s.needs_jobs && !have_jobs) continue;
+    std::printf("%s\n", s.render(run, results).c_str());
   }
 }
 
@@ -98,44 +61,35 @@ bool emit_results(const serve::ServeSession& session, const EmitRequest& req,
   const auto& s3 = session.stage3();
   const auto& quality = session.quality();
   count_ingest(quality, registry);
-  const auto stats = s3.error_stats();
-  print_reports(s3, stats, req.report);
+  const auto r = s3.results();
+  print_reports(s3, r, req.report);
 
   if (!req.csv_dir.empty()) {
-    const auto impact = s3.job_impact();
-    const auto jobs = s3.job_stats();
-    const auto avail = s3.availability();
-    const auto write_csv = [&](const char* name, auto&& render) {
+    const auto write_csv = [&](const char* name, auto write,
+                               const auto& result) {
       std::ostringstream os;
-      render(os);
+      write(os, result);
       return write_artifact(who, fs::path(req.csv_dir) / name, os.str());
     };
     const bool ok =
-        write_csv("table1.csv",
-                  [&](std::ostream& os) { analysis::write_table1_csv(os, stats); }) &&
-        write_csv("table2.csv",
-                  [&](std::ostream& os) { analysis::write_table2_csv(os, impact); }) &&
-        write_csv("table3.csv",
-                  [&](std::ostream& os) { analysis::write_table3_csv(os, jobs); }) &&
-        write_csv("fig2.csv",
-                  [&](std::ostream& os) { analysis::write_fig2_csv(os, avail); });
+        write_csv("table1.csv", analysis::write_table1_csv, r.error_stats) &&
+        write_csv("table2.csv", analysis::write_table2_csv, r.job_impact) &&
+        write_csv("table3.csv", analysis::write_table3_csv, r.job_stats) &&
+        write_csv("fig2.csv", analysis::write_fig2_csv, r.availability);
     if (!ok) return false;
     log.info(who, "wrote CSV exports", {{"dir", req.csv_dir}});
   }
 
   if (!req.md_file.empty()) {
-    analysis::MarkdownReportOptions mopts;
-    mopts.quality = &quality;
     if (!write_artifact(who, req.md_file,
                         analysis::render_markdown_report(
-                            s3, session.counters(), mopts))) {
+                            s3, r, session.counters(), &quality))) {
       return false;
     }
     log.info(who, "wrote markdown report", {{"path", req.md_file}});
   }
 
   if (!req.index_file.empty()) {
-    const auto avail = s3.availability();
     const auto& cfg = s3.config();
     index::IndexBuildInput in;
     in.periods = cfg.periods;
@@ -146,7 +100,7 @@ bool emit_results(const serve::ServeSession& session, const EmitRequest& req,
     in.topo = &s3.topo();
     in.errors = &s3.rows().errors;
     in.jobs = &s3.rows().jobs;
-    in.unavailability = &avail.intervals;
+    in.unavailability = &r.availability.intervals;
     const auto wrote = index::write_index(in, req.index_file);
     if (!wrote.ok()) {
       log.error(who, wrote.error().message);
@@ -165,15 +119,12 @@ bool emit_results(const serve::ServeSession& session, const EmitRequest& req,
   }
 
   if (!req.json_file.empty()) {
-    const auto impact = s3.job_impact();
-    const auto jobs = s3.job_stats();
-    const auto avail = s3.availability();
     analysis::ExportBundle bundle;
-    bundle.error_stats = &stats;
-    bundle.job_stats = &jobs;
-    bundle.job_impact = &impact;
-    bundle.availability = &avail;
-    bundle.mttf_h = s3.mttf_estimate_h();
+    bundle.error_stats = &r.error_stats;
+    bundle.job_stats = &r.job_stats;
+    bundle.job_impact = &r.job_impact;
+    bundle.availability = &r.availability;
+    bundle.mttf_h = r.mttf_h;
     if (!write_artifact(who, req.json_file, analysis::to_json(bundle) + "\n")) {
       return false;
     }

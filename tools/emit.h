@@ -25,7 +25,7 @@ bool write_artifact(const char* component, const std::filesystem::path& path,
 /// What to emit.  Empty paths are skipped.
 struct EmitRequest {
   const char* component = "analyze";  ///< log component of the tool
-  /// all|none|table1|table2|table3|fig2|findings|trends|survival|mitigation
+  /// all, none, or one analysis::report_sections() name
   std::string report = "all";
   std::string csv_dir;  ///< table1..3 + fig2 CSV files
   std::string md_file;
@@ -36,8 +36,9 @@ struct EmitRequest {
 };
 
 /// Count the session's data quality into the ingest.* counters of
-/// `registry`, print the requested reports, and write the CSV tables,
-/// markdown report, index, JSON export and quality report.  Records the
+/// `registry`, run Stage III once, print the requested reports from its
+/// results, and write the CSV tables, markdown report, index, JSON export
+/// and quality report from the same results.  Records the
 /// index size in `run` when given.  Returns false after logging the first
 /// failed write.
 bool emit_results(const serve::ServeSession& session, const EmitRequest& req,

@@ -1,8 +1,8 @@
 // gpures-analyze: run the analysis pipeline over a dataset directory.
 //
-//   gpures-analyze --data DIR [--report all|table1|table2|table3|fig2|
-//                              findings|trends|survival]
-//                  [--export-csv DIR] [--export-json FILE]
+//   gpures-analyze --data DIR [--report all|none|table1|table2|table3|fig2|
+//                              findings|trends|survival|mitigation]
+//                  [--export-csv DIR] [--export-json FILE] [--report-md FILE]
 //                  [--coalesce-window SECONDS] [--window SECONDS]
 //                  [--node-level] [--threads N]
 //                  [--metrics FILE[.prom]] [--trace FILE]
@@ -25,6 +25,7 @@
 #include <string>
 
 #include "analysis/data_quality.h"
+#include "analysis/markdown_report.h"
 #include "common/io.h"
 #include "common/strings.h"
 #include "emit.h"
@@ -46,7 +47,7 @@ void usage() {
       stderr,
       "usage: gpures-analyze --data DIR [options]\n"
       "  --data DIR             dataset directory (required)\n"
-      "  --report WHAT          all|table1|table2|table3|fig2|findings|\n"
+      "  --report WHAT          all|none|table1|table2|table3|fig2|findings|\n"
       "                         trends|survival|mitigation   (default all)\n"
       "  --export-csv DIR       write table1..3 + fig2 CSV files (plus a\n"
       "                         run_manifest.json provenance record)\n"
@@ -104,19 +105,6 @@ long long parse_count(const char* flag, std::string_view s) {
   return v;
 }
 
-/// Stable fingerprint of the effective analysis configuration.
-std::string config_fingerprint(const serve::ServeConfig& cfg) {
-  std::string s;
-  s += "coalesce_window=" + std::to_string(cfg.coalescer.window) + ";";
-  s += "attribution_window=" + std::to_string(cfg.attribution_window) + ";";
-  s += "attribution=" +
-       std::to_string(static_cast<int>(cfg.attribution)) + ";";
-  s += "threads=" + std::to_string(cfg.threads) + ";";
-  s += "outlier_share=" + std::to_string(cfg.outlier_share) + ";";
-  s += "outlier_min=" + std::to_string(cfg.outlier_min);
-  return obs::hex64(obs::fnv1a64(s));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -147,6 +135,12 @@ int main(int argc, char** argv) {
       scfg.data_dir = next("--data");
     } else if (arg == "--report") {
       emit.report = next("--report");
+      if (!analysis::is_report_name(emit.report)) {
+        std::fprintf(stderr, "gpures-analyze: unknown --report '%s'\n",
+                     emit.report.c_str());
+        usage();
+        return 2;
+      }
     } else if (arg == "--export-csv") {
       emit.csv_dir = next("--export-csv");
     } else if (arg == "--export-json") {
@@ -309,7 +303,6 @@ int main(int argc, char** argv) {
   obs::RunManifest run;
   run.tool = "gpures-analyze";
   run.dataset = scfg.data_dir.string();
-  run.config_hash = config_fingerprint(scfg);
   run.threads = scfg.threads;
   run.started_at = obs::wall_clock_iso();
   // Record the resolved scan backend in the provenance manifest and the log:
@@ -347,6 +340,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // The session's hash covers every analysis-relevant setting, the ingest
+  // policy and error budget included (threads excluded: output does not
+  // depend on them).
+  run.config_hash = obs::hex64(session.config_hash());
   // Surface the ingest accounting on the observability plane: headline
   // figures in the run manifest (emit_results adds the ingest.* counters).
   const auto& quality = session.quality();

@@ -24,6 +24,7 @@
 #include <string>
 #include <thread>
 
+#include "analysis/markdown_report.h"
 #include "common/io.h"
 #include "common/strings.h"
 #include "emit.h"
@@ -211,6 +212,12 @@ int main(int argc, char** argv) {
       scfg.attribution = analysis::Attribution::kNodeLevel;
     } else if (arg == "--report") {
       emit.report = next("--report");
+      if (!analysis::is_report_name(emit.report)) {
+        std::fprintf(stderr, "gpures-serve: unknown --report '%s'\n",
+                     emit.report.c_str());
+        usage();
+        return 2;
+      }
     } else if (arg == "--write-index") {
       emit.index_file = next("--write-index");
     } else if (arg == "--export-json") {
