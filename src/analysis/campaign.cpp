@@ -1,12 +1,119 @@
 #include "analysis/campaign.h"
 
 #include <algorithm>
+#include <array>
+#include <condition_variable>
+#include <exception>
+#include <mutex>
+#include <thread>
 
 #include "logsys/syslog.h"
 #include "obs/trace.h"
 #include "slurm/accounting.h"
 
 namespace gpures::analysis {
+
+namespace {
+
+/// Renders each day's noise into a ring of two DayBuffers, in day order.
+/// Threaded, one helper thread renders ahead and blocks while both buffers
+/// are unreleased, so it runs at most one day ahead of the caller; serial,
+/// take() renders the day itself.  Either way `render` sees the same days in
+/// the same order, so the buffers hold the same bytes.
+class NoiseAhead {
+ public:
+  using Render = std::function<void(common::TimePoint, logsys::DayBuffer&)>;
+
+  NoiseAhead(common::TimePoint begin, common::TimePoint end, bool threaded,
+             Render render)
+      : begin_(begin), end_(end), render_(std::move(render)) {
+    if (threaded) helper_ = std::thread([this] { produce(); });
+  }
+
+  ~NoiseAhead() {
+    if (!helper_.joinable()) return;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    helper_.join();
+  }
+
+  NoiseAhead(const NoiseAhead&) = delete;
+  NoiseAhead& operator=(const NoiseAhead&) = delete;
+
+  /// The noise of `day_start`, which must be the day after the last one
+  /// taken (the first: `begin`).  Valid until release().
+  const logsys::DayBuffer& take(common::TimePoint day_start) {
+    common::check(day_start == day_at(taken_), "NoiseAhead: day out of order");
+    logsys::DayBuffer& slot = slots_[taken_ % 2];
+    if (!helper_.joinable()) {
+      slot.clear();
+      render_(day_start, slot);
+    } else {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [this] { return rendered_ > taken_ || error_; });
+      if (error_) std::rethrow_exception(error_);
+    }
+    ++taken_;
+    return slot;
+  }
+
+  /// Hand the buffer of the last take() back for the helper to refill.
+  void release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      released_ = taken_;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  common::TimePoint day_at(std::uint64_t i) const {
+    return begin_ + static_cast<common::Duration>(i) * common::kDay;
+  }
+
+  void produce() {
+    for (std::uint64_t i = 0; day_at(i) < end_; ++i) {
+      {
+        std::unique_lock<std::mutex> lock(mu_);
+        cv_.wait(lock, [&] { return stop_ || i < released_ + 2; });
+        if (stop_) return;
+      }
+      logsys::DayBuffer& slot = slots_[i % 2];
+      try {
+        slot.clear();
+        render_(day_at(i), slot);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mu_);
+        error_ = std::current_exception();
+        cv_.notify_all();
+        return;
+      }
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        rendered_ = i + 1;
+      }
+      cv_.notify_all();
+    }
+  }
+
+  const common::TimePoint begin_;
+  const common::TimePoint end_;
+  const Render render_;
+  std::array<logsys::DayBuffer, 2> slots_;  ///< day i renders into i % 2
+  std::uint64_t taken_ = 0;                 ///< caller only
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::uint64_t rendered_ = 0;  ///< days rendered (guarded by mu_)
+  std::uint64_t released_ = 0;  ///< days released (guarded by mu_)
+  bool stop_ = false;           ///< guarded by mu_
+  std::exception_ptr error_;    ///< the helper's failure (guarded by mu_)
+  std::thread helper_;          ///< started once every field above is set
+};
+
+}  // namespace
 
 CampaignConfig CampaignConfig::delta_a100() { return CampaignConfig{}; }
 
@@ -145,17 +252,18 @@ void DeltaCampaign::schedule_next_arrival(common::TimePoint from) {
   });
 }
 
-void DeltaCampaign::emit_noise_for_day(common::TimePoint day_start) {
+void DeltaCampaign::render_noise_day(common::TimePoint day_start,
+                                     logsys::DayBuffer& out) {
+  OBS_SPAN("sim.noise");
   const auto n = noise_rng_.poisson(cfg_.noise_lines_per_day);
   for (std::uint64_t i = 0; i < n; ++i) {
     const auto t = day_start + static_cast<common::Duration>(
                                    noise_rng_.uniform_u64(common::kDay));
     const auto node = static_cast<std::int32_t>(
         noise_rng_.uniform_u64(static_cast<std::uint64_t>(topo_.node_count())));
-    log_stream_->append_with(t, [&](std::string& out) {
-      logsys::append_noise_line(out, noise_rng_, t, topo_.node(node).name);
-    });
-    ++raw_lines_;
+    logsys::append_noise_line(out.open_line(t), noise_rng_, t,
+                              topo_.node(node).name);
+    out.close_line();
   }
 }
 
@@ -171,6 +279,10 @@ void DeltaCampaign::run() {
   const auto end = cfg_.faults.study_end;
   const int total_days =
       static_cast<int>(common::day_index(end) - common::day_index(begin));
+  NoiseAhead noise(begin, end, pool_ != nullptr,
+                   [this](common::TimePoint day_start, logsys::DayBuffer& out) {
+                     render_noise_day(day_start, out);
+                   });
   int day = 0;
   for (common::TimePoint t = begin; t < end; t += common::kDay, ++day) {
     const common::TimePoint day_end = std::min(t + common::kDay, end);
@@ -179,15 +291,26 @@ void DeltaCampaign::run() {
     // replay the merged event stream into the consumer engine so scheduler,
     // workload, and failure propagation advance in lockstep with the faults.
     sim_->begin_day();
-    const auto events = sim_->advance_to(day_end);
-    for (const auto& e : events) {
-      // Raw records may be future-dated past day_end (duplicate-line and
-      // NVLink offsets); clamp so the consumer clock never leaves the epoch.
-      engine_.run_until(std::min(e.time, day_end));
-      apply_event(e);
+    {
+      OBS_SPAN("sim.shards");
+      sim_->simulate_to(day_end);
     }
-    engine_.run_until(day_end);
-    emit_noise_for_day(t);
+    {
+      OBS_SPAN("sim.replay");
+      sim_->drain_merged([&](const cluster::SimEvent& e) {
+        // Raw records may be future-dated past day_end (duplicate-line and
+        // NVLink offsets); clamp so the consumer clock never leaves the
+        // epoch.
+        engine_.run_until(std::min(e.time, day_end));
+        apply_event(e);
+      });
+      engine_.run_until(day_end);
+    }
+    // The day's noise always follows its simulated lines in the arena.
+    const logsys::DayBuffer& day_noise = noise.take(t);
+    log_stream_->splice(t, day_noise);
+    raw_lines_ += day_noise.size();
+    noise.release();
     log_stream_->flush_through(engine_.now());
     if (progress_ && (day % 64 == 0 || day + 1 == total_days)) {
       progress_(day + 1, total_days);

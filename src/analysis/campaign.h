@@ -7,7 +7,10 @@
 // pipeline.num_threads > 0), their merged event stream replays into the
 // consumer engine, and the day's raw lines flow through a day-bucketed
 // stream to the attached sinks (the log is never held in memory whole); at
-// the end every job is formatted as its textual sacct row.  The campaign
+// the end every job is formatted as its textual sacct row.  A day's noise
+// lines are rendered into their own buffer — a day ahead on one helper
+// thread when pipeline.num_threads > 0 — and spliced after the day's
+// simulated lines, so the bytes never depend on the thread count.  The campaign
 // only generates: a DatasetWriter sink writes the artifacts to disk, and an
 // attached AnalysisPipeline analyzes them in memory.  Neither changes what
 // is generated.  Ground truth is retained solely for validation.
@@ -40,7 +43,8 @@ struct CampaignConfig {
   slurm::SchedulerConfig scheduler;
   /// The analysis configuration for an attached pipeline; the campaign
   /// resolves its periods from `faults` and its registry from `metrics`.
-  /// num_threads also sizes the simulation's shard pool.
+  /// num_threads also sizes the simulation's shard pool and, when > 0,
+  /// adds the one thread that renders noise a day ahead.
   PipelineConfig pipeline;
   std::uint64_t seed = 42;
   bool with_jobs = true;
@@ -122,7 +126,10 @@ class DeltaCampaign {
   bool ran_ = false;
 
   void schedule_next_arrival(common::TimePoint from);
-  void emit_noise_for_day(common::TimePoint day_start);
+  /// Append `day_start`'s non-XID noise lines to `out`.  Reads only
+  /// noise_rng_, the day and the topology, so it may run on a helper thread
+  /// a day ahead of the simulation, provided days are rendered in order.
+  void render_noise_day(common::TimePoint day_start, logsys::DayBuffer& out);
   /// Replay one merged shard event into the consumer-side stack: render raw
   /// lines, forward error/lifecycle notifications to the job layer.
   void apply_event(const cluster::SimEvent& e);

@@ -4,10 +4,19 @@
 
 #include "common/io.h"
 #include "common/strings.h"
+#include "obs/trace.h"
 
 namespace gpures::analysis {
 
 namespace fs = std::filesystem;
+
+namespace {
+
+/// write_day's gather block: large enough that a day's sorted noise costs a
+/// few writes, small enough to keep for the whole run.
+constexpr std::size_t kWriteBlock = std::size_t{1} << 20;
+
+}  // namespace
 
 std::string DatasetManifest::serialize() const {
   std::string out;
@@ -133,6 +142,7 @@ void DatasetWriter::note_write_failure(const std::string& what) {
 
 void DatasetWriter::write_day(common::TimePoint day_start,
                               const logsys::DayBuffer& day) {
+  OBS_SPAN("dataset.write_day");
   const auto path =
       dir_ / "syslog" / ("syslog-" + common::format_date(day_start) + ".log");
   std::ofstream os(path, std::ios::trunc | std::ios::binary);
@@ -140,9 +150,25 @@ void DatasetWriter::write_day(common::TimePoint day_start,
     note_write_failure("DatasetWriter: cannot write " + path.string());
     return;
   }
-  day.for_each_run([&os](std::string_view run) {
-    os.write(run.data(), static_cast<std::streamsize>(run.size()));
+  // Sorted noise lines are short runs scattered through the arena; gather
+  // them into the reused block so the day costs a few large writes, not one
+  // write per line.  A run at least a block long goes out directly.
+  const auto put = [&os](std::string_view bytes) {
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  };
+  block_.clear();
+  day.for_each_run([&](std::string_view run) {
+    if (block_.size() + run.size() > kWriteBlock && !block_.empty()) {
+      put(block_);
+      block_.clear();
+    }
+    if (run.size() >= kWriteBlock) {
+      put(run);
+    } else {
+      block_ += run;
+    }
   });
+  put(block_);
   os.flush();
   if (!os) {
     note_write_failure("DatasetWriter: write failed on " + path.string());

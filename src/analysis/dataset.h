@@ -58,9 +58,9 @@ class DatasetWriter {
   DatasetWriter(const DatasetWriter&) = delete;
   DatasetWriter& operator=(const DatasetWriter&) = delete;
 
-  /// Write one consolidated day file straight from the arena: the sorted
-  /// slices are streamed as maximal contiguous runs, so a fully in-order
-  /// day is a single large write with no intermediate copy.
+  /// Write one consolidated day file from the arena: the sorted slices'
+  /// maximal contiguous runs are gathered into one reused 1 MiB block, so
+  /// a day is a few large writes whatever its order.
   void write_day(common::TimePoint day_start, const logsys::DayBuffer& day);
 
   /// Write one consolidated day file (convenience for tests/fixtures).
@@ -87,6 +87,7 @@ class DatasetWriter {
   DatasetManifest manifest_;
   std::ofstream accounting_;  ///< kept open: the dump has ~1.5M lines
   std::string write_error_;   ///< first deferred write failure, if any
+  std::string block_;         ///< write_day's gather block, reused per day
   common::Status final_status_;
   std::uint64_t days_ = 0;
   bool finalized_ = false;

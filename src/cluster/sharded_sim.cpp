@@ -56,15 +56,12 @@ void ShardLog::on_node_up(std::int32_t node, common::TimePoint t) {
   events_.push_back(std::move(e));
 }
 
-std::vector<SimEvent> ShardLog::take_sorted() {
+void ShardLog::sort() {
   // Raw records can be future-dated relative to emission order, so the
   // buffer is not time-sorted as appended; sort into merge order here.
   // (time, node, seq) is a strict total order within one shard because seq
   // is unique, so std::sort is deterministic.
   std::sort(events_.begin(), events_.end(), SimEventBefore{});
-  std::vector<SimEvent> out = std::move(events_);
-  events_.clear();
-  return out;
 }
 
 struct ShardedClusterSim::Shard {
@@ -91,10 +88,12 @@ ShardedClusterSim::ShardedClusterSim(const Topology& topo,
                                   kMaxShards);
   const auto ranges = des::partition_range(topo_.node_count(), shards);
   shards_.reserve(ranges.size());
+  logs_.reserve(ranges.size());
   for (std::size_t k = 0; k < ranges.size(); ++k) {
     shards_.push_back(std::make_unique<Shard>(
         topo_, cfg_, rng.fork("shard", static_cast<std::uint64_t>(k)),
         ranges[k]));
+    logs_.push_back(&shards_.back()->log.events());
   }
 }
 
@@ -154,22 +153,36 @@ void ShardedClusterSim::begin_day() {
   if (snapshot_provider_) snapshot_provider_(busy_until_);
 }
 
-std::vector<SimEvent> ShardedClusterSim::advance_to(common::TimePoint until) {
+void ShardedClusterSim::simulate_to(common::TimePoint until) {
+  const auto run = [until](Shard& s) {
+    s.engine.run_until(until);
+    s.log.sort();
+  };
   if (pool_ != nullptr && shards_.size() > 1) {
     // One index per shard; the pool's static chunking decides which worker
     // runs which shard — irrelevant to results, since each shard is fully
-    // self-contained and the merge below fixes the global order.
+    // self-contained and the merge fixes the global order.
     pool_->parallel_for(shards_.size(),
                         [&](std::size_t k, std::size_t /*worker*/) {
-                          shards_[k]->engine.run_until(until);
+                          run(*shards_[k]);
                         });
   } else {
-    for (auto& sp : shards_) sp->engine.run_until(until);
+    for (auto& sp : shards_) run(*sp);
   }
-  std::vector<std::vector<SimEvent>> logs;
-  logs.reserve(shards_.size());
-  for (auto& sp : shards_) logs.push_back(sp->log.take_sorted());
-  return des::merge_sorted_shards(std::move(logs), SimEventBefore{});
+}
+
+void ShardedClusterSim::drain_merged(
+    const std::function<void(SimEvent&)>& fn) {
+  des::for_each_merged(std::span<std::vector<SimEvent>* const>(logs_),
+                       SimEventBefore{}, fn);
+  for (auto& sp : shards_) sp->log.clear();
+}
+
+std::vector<SimEvent> ShardedClusterSim::advance_to(common::TimePoint until) {
+  simulate_to(until);
+  std::vector<SimEvent> out;
+  drain_merged([&out](SimEvent& e) { out.push_back(std::move(e)); });
+  return out;
 }
 
 const NodeRange& ShardedClusterSim::shard_range(std::int32_t k) const {

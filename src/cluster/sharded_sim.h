@@ -79,9 +79,13 @@ class ShardLog final : public RawLineSink, public SimListener {
   void on_node_down(std::int32_t node, common::TimePoint t) override;
   void on_node_up(std::int32_t node, common::TimePoint t) override;
 
-  /// Sort the buffered events into merge order and hand them over, leaving
-  /// the log empty for the next epoch.
-  std::vector<SimEvent> take_sorted();
+  /// Sort the buffered events into merge order, in place.
+  void sort();
+  /// The buffered events, which the epoch's merge hands to its visitor.
+  std::vector<SimEvent>& events() { return events_; }
+  /// Empty the log for the next epoch.  The vector keeps its capacity, so
+  /// the thread that runs this shard stops reallocating it every day.
+  void clear() { events_.clear(); }
 
  private:
   std::vector<SimEvent> events_;
@@ -92,9 +96,9 @@ class ShardLog final : public RawLineSink, public SimListener {
 /// engine, and merges their event logs into one deterministic stream.
 ///
 /// Usage (one day-epoch at a time — the campaign's loop):
-///   begin_day();                      // freeze the scheduler busy snapshot
-///   auto events = advance_to(day_end) // run shards (parallel), merge
-///   ... replay events into the consumer engine ...
+///   begin_day();                // freeze the scheduler busy snapshot
+///   simulate_to(day_end);       // run shards (parallel), sort their logs
+///   drain_merged(replay);       // replay the merged events, in order
 class ShardedClusterSim {
  public:
   /// Default shard sizing: ~one shard per 16 nodes, at most 256 shards
@@ -142,13 +146,21 @@ class ShardedClusterSim {
   void start();
 
   /// Refresh the frozen busy snapshot from the provider.  Call at each
-  /// epoch boundary, before advance_to.
+  /// epoch boundary, before simulate_to.
   void begin_day();
 
-  /// Run every shard to `until` (concurrently when a pool is set) and return
-  /// the merged, (time, node, seq)-ordered event stream for the epoch.
-  /// Raw-record events may carry timestamps slightly past `until`
-  /// (duplicate-line and NVLink offsets); they sort at the tail.
+  /// Run every shard to `until` and sort its log, concurrently when a pool
+  /// is set.  Follow with drain_merged().
+  void simulate_to(common::TimePoint until);
+
+  /// Call `fn` on every event the last simulate_to() logged, in the merged
+  /// (time, node, seq) order, then empty the shard logs.  Raw-record events
+  /// may carry timestamps slightly past `until` (duplicate-line and NVLink
+  /// offsets); they sort at the tail.  The merge streams: no epoch-sized
+  /// copy of the events is made.  `fn` may move from the event.
+  void drain_merged(const std::function<void(SimEvent&)>& fn);
+
+  /// simulate_to(until), then the drained events as one vector.
   std::vector<SimEvent> advance_to(common::TimePoint until);
 
   std::int32_t shard_count() const {
@@ -173,6 +185,7 @@ class ShardedClusterSim {
   FaultConfig cfg_;
   common::ThreadPool* pool_ = nullptr;
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::vector<SimEvent>*> logs_;  ///< shard k's ShardLog events
   BusySnapshotProvider snapshot_provider_;
   /// Day-epoch frozen busy-until per flat GPU.  Written only by begin_day()
   /// (between epochs); read-only while shards run, so concurrent shard

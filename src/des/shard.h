@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -58,23 +59,20 @@ inline std::int32_t auto_shard_count(std::int32_t items, std::int32_t per_shard,
 }
 
 /// Stable k-way merge of per-shard vectors, each already sorted under
-/// `less`: repeatedly emits the smallest head, breaking cross-shard ties
-/// toward the lower shard index.  The output order is a pure function of
-/// the inputs, independent of how the shards were produced.
-template <typename T, typename Less>
-std::vector<T> merge_sorted_shards(std::vector<std::vector<T>>&& shards,
-                                   Less less) {
-  std::size_t total = 0;
-  for (const auto& s : shards) total += s.size();
-  std::vector<T> out;
-  out.reserve(total);
-
+/// `less`: calls fn(T&) on every element in merged order, repeatedly taking
+/// the smallest head and breaking cross-shard ties toward the lower shard
+/// index.  The order is a pure function of the inputs, independent of how
+/// the shards were produced.  `fn` may move from the element it is given;
+/// the merge never looks at it again.
+template <typename T, typename Less, typename Fn>
+void for_each_merged(std::span<std::vector<T>* const> shards, Less less,
+                     Fn&& fn) {
   // Head cursor per shard; a binary heap of shard indices keyed by the head
   // element (ties toward lower shard index).
   std::vector<std::size_t> pos(shards.size(), 0);
   const auto head_after = [&](std::size_t a, std::size_t b) {
-    const T& ea = shards[a][pos[a]];
-    const T& eb = shards[b][pos[b]];
+    const T& ea = (*shards[a])[pos[a]];
+    const T& eb = (*shards[b])[pos[b]];
     if (less(ea, eb)) return false;
     if (less(eb, ea)) return true;
     return a > b;
@@ -82,19 +80,36 @@ std::vector<T> merge_sorted_shards(std::vector<std::vector<T>>&& shards,
   std::vector<std::size_t> heads;
   heads.reserve(shards.size());
   for (std::size_t s = 0; s < shards.size(); ++s) {
-    if (!shards[s].empty()) heads.push_back(s);
+    if (!shards[s]->empty()) heads.push_back(s);
   }
   std::make_heap(heads.begin(), heads.end(), head_after);
   while (!heads.empty()) {
     std::pop_heap(heads.begin(), heads.end(), head_after);
     const std::size_t s = heads.back();
     heads.pop_back();
-    out.push_back(std::move(shards[s][pos[s]]));
-    if (++pos[s] < shards[s].size()) {
+    fn((*shards[s])[pos[s]]);
+    if (++pos[s] < shards[s]->size()) {
       heads.push_back(s);
       std::push_heap(heads.begin(), heads.end(), head_after);
     }
   }
+}
+
+/// for_each_merged over owned shard vectors, collected into one vector.
+template <typename T, typename Less>
+std::vector<T> merge_sorted_shards(std::vector<std::vector<T>>&& shards,
+                                   Less less) {
+  std::vector<std::vector<T>*> views;
+  std::size_t total = 0;
+  views.reserve(shards.size());
+  for (auto& s : shards) {
+    views.push_back(&s);
+    total += s.size();
+  }
+  std::vector<T> out;
+  out.reserve(total);
+  for_each_merged(std::span<std::vector<T>* const>(views), less,
+                  [&out](T& e) { out.push_back(std::move(e)); });
   return out;
 }
 

@@ -110,12 +110,51 @@ DayBuffer DayBuffer::from_text(common::TimePoint default_time,
   return buf;
 }
 
+void DayBuffer::splice(const DayBuffer& tail) {
+  common::check(!open_ && !tail.open_, "DayBuffer: splice with a line open");
+  const std::uint64_t base = arena_.size();
+  arena_ += tail.arena_;
+  slices_.reserve(slices_.size() + tail.slices_.size());
+  for (LineSlice s : tail.slices_) {
+    s.offset += base;
+    slices_.push_back(s);
+  }
+}
+
 void DayBuffer::sort_by_time() {
   common::check(!open_, "DayBuffer: sort_by_time with a line open");
-  std::stable_sort(slices_.begin(), slices_.end(),
-                   [](const LineSlice& a, const LineSlice& b) {
-                     return a.time < b.time;
-                   });
+  if (slices_.size() < 2) return;
+  common::TimePoint lo = slices_[0].time;
+  common::TimePoint hi = lo;
+  bool sorted = true;
+  for (std::size_t i = 1; i < slices_.size(); ++i) {
+    const common::TimePoint t = slices_[i].time;
+    sorted = sorted && slices_[i - 1].time <= t;
+    lo = std::min(lo, t);
+    hi = std::max(hi, t);
+  }
+  if (sorted) return;
+  // Seconds from the first to the last line; unsigned, so no overflow.
+  const std::uint64_t width =
+      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
+  if (width >= kCountingSpanPerLine * slices_.size()) {
+    std::stable_sort(slices_.begin(), slices_.end(),
+                     [](const LineSlice& a, const LineSlice& b) {
+                       return a.time < b.time;
+                     });
+    return;
+  }
+  // Counting sort over seconds: slices are scattered in append order into
+  // their second's bucket, so equal times keep append order (stable).
+  const auto second = [lo](const LineSlice& s) {
+    return static_cast<std::uint64_t>(s.time) - static_cast<std::uint64_t>(lo);
+  };
+  std::vector<std::uint32_t> start(width + 2, 0);
+  for (const LineSlice& s : slices_) ++start[second(s) + 1];
+  for (std::uint64_t k = 1; k <= width; ++k) start[k] += start[k - 1];
+  std::vector<LineSlice> out(slices_.size());
+  for (const LineSlice& s : slices_) out[start[second(s)]++] = s;
+  slices_.swap(out);
 }
 
 std::string render_day(const DayBuffer& buf) {

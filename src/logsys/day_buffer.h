@@ -7,9 +7,9 @@
 // the parse path.  DayBuffer replaces it with the arena discipline of
 // high-throughput solvers: one char buffer per day plus a flat vector of
 // {time, offset, len} slices.  Emitters append straight into the arena,
-// sorting permutes 16-byte slices instead of strings, writers stream the
-// arena out in maximal contiguous runs, and Stage-I parses std::string_view
-// slices with zero per-line copies.
+// sorting permutes 24-byte slices instead of strings, writers gather the
+// arena's maximal contiguous runs into large writes, and Stage-I parses
+// std::string_view slices with zero per-line copies.
 //
 // Invariants:
 //  - Every slice's text occupies arena[offset, offset+len) and is followed
@@ -161,10 +161,25 @@ class DayBuffer {
     open_ = false;
   }
 
+  /// Append every line of `tail` after this buffer's lines: its arena bytes
+  /// are copied to the end of this arena and its slices follow, shifted, in
+  /// their own order.  The result is the buffer that appending `tail`'s
+  /// lines here one by one would have built.
+  void splice(const DayBuffer& tail);
+
   /// Stable sort of the slices by time: equal timestamps keep append order,
   /// so rendered output is byte-identical to sorting the old per-line
-  /// strings.  The arena itself never moves.
+  /// strings.  The arena itself never moves.  Already-sorted slices cost
+  /// one scan; a span of seconds no wider than kCountingSpanPerLine per
+  /// line is counting-sorted in linear time; anything wider falls back to
+  /// std::stable_sort.
   void sort_by_time();
+
+  /// Widest time span, in seconds per line, that sort_by_time() counting-
+  /// sorts.  A busy day (tens of thousands of lines over 86,400 s) stays
+  /// under it; a quiet one (hundreds of lines) takes std::stable_sort,
+  /// which beats clearing a day's worth of counters.
+  static constexpr std::uint64_t kCountingSpanPerLine = 16;
 
   /// Visit the sorted lines as maximal contiguous arena runs (newlines
   /// included), so a fully in-order day becomes a single write syscall.

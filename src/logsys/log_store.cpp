@@ -26,6 +26,16 @@ void DayLogStream::close_line() {
   ++appended_;
 }
 
+void DayLogStream::splice(common::TimePoint day_start, const DayBuffer& lines) {
+  if (lines.empty()) return;
+  const std::int64_t day = common::day_index(day_start);
+  if (day < min_open_day_) {
+    throw std::logic_error("DayLogStream: lines spliced into already-flushed day");
+  }
+  buffers_[day].splice(lines);
+  appended_ += lines.size();
+}
+
 void DayLogStream::flush_through(common::TimePoint t) {
   const std::int64_t cutoff = common::day_index(t);
   while (!buffers_.empty() && buffers_.begin()->first < cutoff) {

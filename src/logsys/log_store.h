@@ -54,6 +54,11 @@ class DayLogStream {
     close_line();
   }
 
+  /// Append every line of `lines`, in its slice order, after the lines
+  /// already appended to `day_start`'s day (DayBuffer::splice).  All of
+  /// `lines` must fall on that day; an empty buffer opens no day.
+  void splice(common::TimePoint day_start, const DayBuffer& lines);
+
   /// Flush every day that ends strictly before `t`'s day.
   void flush_through(common::TimePoint t);
 

@@ -1,7 +1,7 @@
 #include "logsys/syslog.h"
 
 #include <array>
-#include <cstdio>
+#include <cstdint>
 
 #include "common/fmt.h"
 
@@ -15,6 +15,27 @@ void append_header(std::string& out, common::TimePoint t,
   out += ' ';
   out += host;
   out += ' ';
+}
+
+/// A noise format string cut at its "%u" fields: spans[i] precedes field i
+/// and spans[fields] ends the line.
+struct NoiseTemplate {
+  std::array<std::string_view, 5> spans{};
+  std::size_t fields = 0;
+};
+
+/// Cut `fmt` at each "%u".  Evaluated at compile time, so a template with
+/// more than four fields fails to build.
+constexpr NoiseTemplate split_template(std::string_view fmt) {
+  NoiseTemplate t;
+  std::size_t pos = 0;
+  for (auto hole = fmt.find("%u"); hole != std::string_view::npos;
+       hole = fmt.find("%u", pos)) {
+    t.spans[t.fields++] = fmt.substr(pos, hole - pos);
+    pos = hole + 2;
+  }
+  t.spans[t.fields] = fmt.substr(pos);
+  return t;
 }
 
 }  // namespace
@@ -51,31 +72,33 @@ void append_resume_line(std::string& out, common::TimePoint t,
 
 void append_noise_line(std::string& out, common::Rng& rng, common::TimePoint t,
                        std::string_view host) {
-  static constexpr std::array<const char*, 8> kTemplates = {
-      "sshd[%u]: Accepted publickey for user%u from 10.0.%u.%u",
-      "systemd[1]: Started Session %u of user hpcuser%u.",
-      "kernel: Lustre: %u:0:(client.c:2114) Skipped %u previous similar "
-      "messages",
-      "slurmd[%u]: launch task StepId=%u.0 request from UID:%u",
-      "kernel: perf: interrupt took too long (%u > %u), lowering rate",
-      "ntpd[%u]: adjusting local clock by %u.%us",
-      "kernel: EDAC MC0: 1 CE memory read error on CPU_SrcID#0_MC#%u "
-      "(channel:%u slot:0)",
-      "munged[%u]: Purged %u credentials from replay cache",
+  static constexpr std::array<NoiseTemplate, 8> kTemplates = {
+      split_template("sshd[%u]: Accepted publickey for user%u from 10.0.%u.%u"),
+      split_template("systemd[1]: Started Session %u of user hpcuser%u."),
+      split_template("kernel: Lustre: %u:0:(client.c:2114) Skipped %u "
+                     "previous similar messages"),
+      split_template("slurmd[%u]: launch task StepId=%u.0 request from UID:%u"),
+      split_template("kernel: perf: interrupt took too long (%u > %u), "
+                     "lowering rate"),
+      split_template("ntpd[%u]: adjusting local clock by %u.%us"),
+      split_template("kernel: EDAC MC0: 1 CE memory read error on "
+                     "CPU_SrcID#0_MC#%u (channel:%u slot:0)"),
+      split_template("munged[%u]: Purged %u credentials from replay cache"),
   };
-  const char* tmpl = kTemplates[rng.uniform_u64(kTemplates.size())];
-  char buf[256];
-  int n = std::snprintf(buf, sizeof(buf), tmpl,
-                        static_cast<unsigned>(rng.uniform_u64(30000) + 1000),
-                        static_cast<unsigned>(rng.uniform_u64(900) + 10),
-                        static_cast<unsigned>(rng.uniform_u64(250)),
-                        static_cast<unsigned>(rng.uniform_u64(250)));
-  // snprintf returns the would-be length: negative on encoding error, and
-  // >= sizeof(buf) when truncated (only sizeof(buf)-1 chars were written).
-  if (n < 0) n = 0;
-  if (n >= static_cast<int>(sizeof(buf))) n = static_cast<int>(sizeof(buf)) - 1;
+  const NoiseTemplate& tmpl = kTemplates[rng.uniform_u64(kTemplates.size())];
+  // Every line draws all four field values, last field first, whatever its
+  // template uses: the draw order is part of the dataset's bytes.
+  std::array<std::uint64_t, 4> fields{};
+  fields[3] = rng.uniform_u64(250);
+  fields[2] = rng.uniform_u64(250);
+  fields[1] = rng.uniform_u64(900) + 10;
+  fields[0] = rng.uniform_u64(30000) + 1000;
   append_header(out, t, host);
-  out.append(buf, static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < tmpl.fields; ++i) {
+    out += tmpl.spans[i];
+    common::append_uint(out, fields[i]);
+  }
+  out += tmpl.spans[tmpl.fields];
 }
 
 std::string render_xid_line(common::TimePoint t, std::string_view host,

@@ -41,6 +41,8 @@ void append_resume_line(std::string& out, common::TimePoint t,
                         std::string_view host);
 
 /// Append a realistic non-XID noise line (sshd, lustre, systemd, ...).
+/// Draws the template, then four field values, from `rng` in a fixed order,
+/// so one seed renders the same lines under every compiler.
 void append_noise_line(std::string& out, common::Rng& rng, common::TimePoint t,
                        std::string_view host);
 

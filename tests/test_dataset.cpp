@@ -254,6 +254,42 @@ TEST(Dataset, UnwritableDirectorySurfacesDayFailure) {
 }
 #endif
 
+#ifndef _WIN32
+TEST(Dataset, FullDeviceSurfacesDayFailureThroughThreadedCampaign) {
+  // Root-proof write failure: the day's path is a symlink to /dev/full, so
+  // the open succeeds and every write fails with ENOSPC.  Through a
+  // threaded campaign (shards on a pool, noise rendered a day ahead) the
+  // failure must still name the day, and the run must not succeed.
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const auto dir = temp_dir("full_device_" + std::to_string(::getpid()));
+  an::CampaignConfig cfg = an::CampaignConfig::quick();
+  cfg.seed = 11;
+  cfg.with_jobs = false;
+  cfg.pipeline.num_threads = 2;
+  an::DatasetManifest manifest;
+  manifest.spec = cfg.spec;
+  manifest.periods = an::StudyPeriods::make(
+      cfg.faults.study_begin, cfg.faults.op_begin, cfg.faults.study_end);
+  an::DatasetWriter writer(dir, manifest);
+  const auto day = cfg.faults.study_begin + 3 * ct::kDay;
+  const auto name = "syslog-" + ct::format_date(day) + ".log";
+  fs::create_symlink("/dev/full", dir / "syslog" / name);
+
+  an::DeltaCampaign campaign(cfg);
+  campaign.set_dataset_writer(&writer);
+  EXPECT_THROW(campaign.run(), std::runtime_error);
+  const auto st = writer.finalize();
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.error().message.find(name), std::string::npos)
+      << st.error().message;
+  // The writer kept going: every other day of the window was written.
+  const auto days = static_cast<std::uint64_t>(
+      (cfg.faults.study_end - cfg.faults.study_begin) / ct::kDay);
+  EXPECT_GE(writer.days_written(), days - 1);
+  fs::remove_all(dir);
+}
+#endif
+
 TEST(Dataset, LoadRejectsMissingPieces) {
   const auto dir = temp_dir("missing");
   fs::create_directories(dir);

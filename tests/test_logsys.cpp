@@ -1,6 +1,10 @@
 // Syslog rendering, the DayBuffer arena, and the day-bucketed log stream.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
 #include "logsys/day_buffer.h"
 #include "logsys/log_store.h"
@@ -66,6 +70,38 @@ TEST(Syslog, AppendersMatchRenderers) {
   }
 }
 
+TEST(Syslog, NoiseLinesArePinnedForASeed) {
+  // One seed renders the same lines under every compiler: the template and
+  // its four field values are drawn in a fixed order.  The first 16 lines
+  // of Rng(2024) cover all eight templates.
+  ct::Rng rng(2024);
+  const auto t = ct::to_timepoint({2023, 3, 7, 14, 5, 9});
+  const std::vector<std::string> expected = {
+      "sshd[24209]: Accepted publickey for user153 from 10.0.18.195",
+      "systemd[1]: Started Session 2520 of user hpcuser511.",
+      "ntpd[24202]: adjusting local clock by 339.220s",
+      "systemd[1]: Started Session 13057 of user hpcuser739.",
+      "ntpd[15400]: adjusting local clock by 386.48s",
+      "sshd[18554]: Accepted publickey for user469 from 10.0.60.125",
+      "munged[26355]: Purged 126 credentials from replay cache",
+      "kernel: EDAC MC0: 1 CE memory read error on CPU_SrcID#0_MC#29621 "
+      "(channel:218 slot:0)",
+      "munged[10954]: Purged 253 credentials from replay cache",
+      "slurmd[13343]: launch task StepId=808.0 request from UID:86",
+      "kernel: Lustre: 26663:0:(client.c:2114) Skipped 659 previous similar "
+      "messages",
+      "slurmd[1516]: launch task StepId=668.0 request from UID:92",
+      "systemd[1]: Started Session 28194 of user hpcuser857.",
+      "ntpd[8607]: adjusting local clock by 764.237s",
+      "sshd[18128]: Accepted publickey for user456 from 10.0.189.45",
+      "kernel: perf: interrupt took too long (8863 > 55), lowering rate",
+  };
+  for (const auto& body : expected) {
+    EXPECT_EQ(ls::render_noise_line(rng, t, "gpua017"),
+              "Mar  7 14:05:09 gpua017 " + body);
+  }
+}
+
 TEST(DayBuffer, AppendAndSliceAccess) {
   ls::DayBuffer buf;
   buf.append(5, "hello");
@@ -103,6 +139,110 @@ TEST(DayBuffer, StableSortKeepsEqualTimesInAppendOrder) {
   EXPECT_EQ(buf.line(2), "second");
   EXPECT_EQ(buf.line(3), "third");
   EXPECT_EQ(buf.line(4), "late");
+}
+
+namespace {
+
+/// The reference order: std::stable_sort of the slices by time.
+std::vector<ls::LineSlice> stable_sorted(std::vector<ls::LineSlice> slices) {
+  std::stable_sort(slices.begin(), slices.end(),
+                   [](const ls::LineSlice& a, const ls::LineSlice& b) {
+                     return a.time < b.time;
+                   });
+  return slices;
+}
+
+void expect_same_slices(const std::vector<ls::LineSlice>& got,
+                        const std::vector<ls::LineSlice>& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].time, want[i].time) << what << " slice " << i;
+    EXPECT_EQ(got[i].offset, want[i].offset) << what << " slice " << i;
+    EXPECT_EQ(got[i].len, want[i].len) << what << " slice " << i;
+  }
+}
+
+/// `lines` lines with times drawn from [base, base + width], one-letter
+/// texts; `width` 0 makes every time equal.
+ls::DayBuffer random_day(ct::Rng& rng, std::size_t lines, ct::TimePoint base,
+                         std::uint64_t width) {
+  ls::DayBuffer buf;
+  for (std::size_t i = 0; i < lines; ++i) {
+    const auto t = base + static_cast<ct::Duration>(rng.uniform_u64(width + 1));
+    buf.append(t, std::string(1 + rng.uniform_u64(3), 'a'));
+  }
+  return buf;
+}
+
+}  // namespace
+
+TEST(DayBuffer, SortByTimeMatchesStableSort) {
+  // Every path of sort_by_time (already sorted, counting sort, the
+  // std::stable_sort fallback) must give exactly stable_sort's order.
+  ct::Rng rng(99);
+  const auto day = ct::make_date(2023, 2, 1);
+  struct Case {
+    const char* what;
+    std::size_t lines;
+    std::uint64_t width;
+  };
+  const std::vector<Case> cases = {
+      {"one slice", 1, 100},
+      {"equal times", 500, 0},
+      {"dense ties", 5000, 10},
+      {"busy day (counting path)", 20000, ct::kDay},
+      {"span at the counting limit", 64,
+       ls::DayBuffer::kCountingSpanPerLine * 64 - 1},
+      {"span past the counting limit", 64,
+       ls::DayBuffer::kCountingSpanPerLine * 64 + 1},
+      {"quiet day (stable_sort path)", 300, ct::kDay},
+  };
+  for (const auto& c : cases) {
+    for (int round = 0; round < 5; ++round) {
+      auto buf = random_day(rng, c.lines, day, c.width);
+      const auto want = stable_sorted(buf.slices());
+      buf.sort_by_time();
+      expect_same_slices(buf.slices(), want, c.what);
+      // Sorting a sorted buffer changes nothing.
+      buf.sort_by_time();
+      expect_same_slices(buf.slices(), want, std::string(c.what) + " again");
+    }
+  }
+  ls::DayBuffer empty;
+  empty.sort_by_time();
+  EXPECT_TRUE(empty.empty());
+}
+
+TEST(DayBuffer, SortByTimeKeepsFromTextOrder) {
+  // A loaded day file gives every slice the same default time: sorting
+  // keeps the file's line order.
+  auto buf = ls::DayBuffer::from_text(42, std::string("c\nb\n\na\n"));
+  const auto want = stable_sorted(buf.slices());
+  buf.sort_by_time();
+  expect_same_slices(buf.slices(), want, "from_text");
+  EXPECT_EQ(ls::render_day(buf), "c\nb\na\n");
+}
+
+TEST(DayBuffer, SpliceEqualsAppendingLineByLine) {
+  ls::DayBuffer head;
+  head.append(30, "xid");
+  head.append(10, "drain");
+  ls::DayBuffer tail;
+  tail.append(20, "noise-a");
+  tail.append(5, "noise-b");
+  ls::DayBuffer direct;
+  direct.append(30, "xid");
+  direct.append(10, "drain");
+  direct.append(20, "noise-a");
+  direct.append(5, "noise-b");
+
+  head.splice(tail);
+  EXPECT_EQ(head.arena(), direct.arena());
+  expect_same_slices(head.slices(), direct.slices(), "splice");
+  head.splice(ls::DayBuffer{});  // an empty tail is a no-op
+  EXPECT_EQ(head.arena(), direct.arena());
+  EXPECT_EQ(tail.size(), 2u);  // the tail is copied, not consumed
 }
 
 TEST(DayBuffer, FromTextSlicesAndSkipsEmptyLines) {
@@ -243,6 +383,33 @@ TEST(DayLogStream, StableSortKeepsEqualTimesInOrder) {
   stream.append(d0 + 100, "third");
   stream.finalize();
   EXPECT_EQ(texts, (std::vector<std::string>{"first", "second", "third"}));
+}
+
+TEST(DayLogStream, SplicedLinesFollowSimulatedLinesOnTimeTies) {
+  // Noise is rendered into its own buffer and spliced after the day's
+  // simulated lines: a noise line in the same second as an XID line sorts
+  // after it, exactly as if it had been appended after it.
+  std::vector<std::string> texts;
+  ls::DayLogStream stream([&](ct::TimePoint, ls::DayBuffer&& buf) {
+    for (std::size_t i = 0; i < buf.size(); ++i) {
+      texts.emplace_back(buf.line(i));
+    }
+  });
+  const auto d0 = ct::make_date(2022, 5, 5);
+  stream.append(d0 + 500, "xid");
+  ls::DayBuffer noise;
+  noise.append(d0 + 500, "noise-tie");
+  noise.append(d0 + 100, "noise-early");
+  stream.splice(d0, noise);
+  EXPECT_EQ(stream.lines_appended(), 3u);
+  stream.splice(d0 + ct::kDay, ls::DayBuffer{});  // opens no day
+  stream.flush_through(d0 + ct::kDay);
+  EXPECT_EQ(texts, (std::vector<std::string>{"noise-early", "xid",
+                                             "noise-tie"}));
+  EXPECT_EQ(stream.days_flushed(), 1u);
+  stream.finalize();
+  EXPECT_EQ(stream.days_flushed(), 1u);  // the empty splice left no day
+  EXPECT_THROW(stream.splice(d0, noise), std::logic_error);
 }
 
 TEST(DayLogStream, AppendWithRendersInPlace) {

@@ -222,3 +222,24 @@ TEST(SimDifferential, ExplicitShardCountIsAThreadInvariantSamplePath) {
   EXPECT_NE(baseline.truth, resharded.truth)
       << "--shards should select a distinct per-shard RNG stream assignment";
 }
+
+TEST(SimDifferential, NoiseHeavyCampaignByteIdenticalAcrossThreadCounts) {
+  // Thousands of noise lines a day: with --threads > 0 each day's noise is
+  // rendered a day ahead on a helper thread and spliced after the day's
+  // simulated lines, and the days are counting-sorted.  The dataset must
+  // not depend on any of it.
+  auto noisy = [](std::uint32_t threads) {
+    auto cfg = delta_cfg(threads);
+    cfg.with_jobs = false;  // the emit path, not the scheduler
+    cfg.noise_lines_per_day = 3000.0;
+    return cfg;
+  };
+  const auto baseline = run_campaign(noisy(0), "noisy_t0");
+  ASSERT_GT(baseline.raw_lines, 90u * 2500u);
+  for (const std::uint32_t threads : {2u, 4u, 8u}) {
+    const auto run =
+        run_campaign(noisy(threads), "noisy_t" + std::to_string(threads));
+    expect_identical(baseline, run,
+                     "--threads " + std::to_string(threads) + " (noisy)");
+  }
+}

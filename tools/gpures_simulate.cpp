@@ -49,9 +49,10 @@ void usage() {
                "  --nodes N      fleet size: a Delta-shaped cluster of N nodes\n"
                "                 (default 106; fault + workload rates scale\n"
                "                 with the GPU count)\n"
-               "  --threads N    worker threads for the simulation shards\n"
-               "                 (default 0 = serial; output is\n"
-               "                 byte-identical at any value)\n"
+               "  --threads N    worker threads for the simulation shards,\n"
+               "                 plus one thread that renders noise a day\n"
+               "                 ahead (default 0 = all on one thread;\n"
+               "                 output is byte-identical at any value)\n"
                "  --shards N     simulation shard count (default 0 = one per\n"
                "                 ~16 nodes; changes the sample path, unlike\n"
                "                 --threads)\n"
